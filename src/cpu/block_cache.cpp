@@ -41,16 +41,6 @@ CachedBlock* BlockCache::build(PAddr pa, const PhysMem& mem, u64& builds,
   return &slot;
 }
 
-void BlockCache::invalidate_range(PAddr begin, u32 len, u64& invals) {
-  const PAddr end = begin + len;
-  for (auto& b : blocks_) {
-    if (b.valid && b.pa < end && begin < b.pa + u32(b.count) * kInstrBytes) {
-      b.valid = false;
-      ++invals;
-    }
-  }
-}
-
 void BlockCache::invalidate_all(u64& invals) {
   for (auto& b : blocks_) {
     if (b.valid) {

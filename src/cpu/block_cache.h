@@ -12,14 +12,14 @@
 //  * guest stores, DMA, monitor emulation and debugger pokes all bump the
 //    version of the pages they touch, so a block decoded from a page that
 //    has since been written never hits (self-modifying code, breakpoint
-//    patching);
+//    patching). Writers need no invalidation hook: lookup() and the
+//    dispatcher's poll between instructions are the checks the version
+//    contract in cpu/phys_mem.h relies on;
 //  * TLB events (flush_tlb / invlpg / CR0-CR3 writes) need no content
 //    invalidation at all: the dispatcher re-translates pc at every block
 //    entry and revalidates the fetch translation between the instructions
 //    of a block, so a remapped pc simply resolves to a different physical
-//    block. Monitors that patch guest code may additionally force-drop
-//    overlapping blocks via invalidate_range() (belt and braces; the
-//    version check already covers those writes).
+//    block.
 #pragma once
 
 #include <array>
@@ -79,9 +79,6 @@ class BlockCache {
   /// out-of-range fetch); the caller must fall back to the slow path,
   /// which raises the right fault.
   CachedBlock* build(PAddr pa, const PhysMem& mem, u64& builds, u64& invals);
-
-  /// Drops every cached block overlapping physical [begin, begin+len).
-  void invalidate_range(PAddr begin, u32 len, u64& invals);
 
   /// Drops everything.
   void invalidate_all(u64& invals);

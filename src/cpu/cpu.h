@@ -146,18 +146,12 @@ class Cpu {
   bool superblocks_enabled() const { return superblocks_enabled_; }
   const SbcStats& sbc_stats() const { return sbc_stats_; }
 
-  /// Explicit invalidation hooks for monitors/debuggers that patch guest
-  /// code (PhysMem's page-version counters already catch every store; these
-  /// are the belt-and-braces interface named in the debug stub). Both tiers
-  /// drop together: a patched range must also sever every superblock chain
-  /// through it (tb_phys_invalidate analog).
+  /// Drops all decoded code in both tiers, severing every superblock chain
+  /// (snapshot restore). Code writes need no call here: PhysMem's page
+  /// versions make stale code unreachable (see cpu/phys_mem.h).
   void invalidate_block_cache() {
     bcache_.invalidate_all(stats_.block_invalidations);
     sbcache_.invalidate_all(sbc_stats_);
-  }
-  void invalidate_block_cache_range(PAddr pa, u32 len) {
-    bcache_.invalidate_range(pa, len, stats_.block_invalidations);
-    sbcache_.invalidate_range(pa, len, sbc_stats_);
   }
 
   const CpuStats& stats() const { return stats_; }

@@ -19,10 +19,16 @@
 // This is the physical backstop behind the paper's third protection level.
 //
 // Every write — CPU store, device DMA, monitor emulation, debugger poke —
-// bumps a per-page version counter. The interpreter's predecoded block cache
-// (cpu/block_cache.h) tags each block with the version of its code page at
-// decode time and treats any mismatch as an invalidation, so stale decoded
-// code can never execute no matter which agent wrote the page.
+// bumps a per-page version counter. This is the only coherence mechanism
+// for decoded code; writers never notify the CPU. The contract: decoded
+// code (cpu/block_cache.h, cpu/superblock.h) records its code page's
+// version at decode, and every path into it re-checks that version before
+// running an instruction from it — block-cache and superblock lookup, the
+// per-instruction poll inside a block (and at impure superblock
+// boundaries), and the chain guard on a chained target. A write from
+// outside the running block (DMA, a monitor exit, a debugger poke while
+// frozen) always reaches the CPU through one of those checks, so stale
+// decoded code can never execute no matter which agent wrote the page.
 #pragma once
 
 #include <atomic>

@@ -230,15 +230,6 @@ void SuperblockCache::drop(SuperBlock& b, SbcStats& stats) {
   ++stats.invalidations;
 }
 
-void SuperblockCache::invalidate_range(PAddr begin, u32 len, SbcStats& stats) {
-  const PAddr end = begin + len;
-  for (auto& b : blocks_) {
-    if (b.valid && b.pa < end && begin < b.pa + u32(b.count) * kInstrBytes) {
-      drop(b, stats);
-    }
-  }
-}
-
 void SuperblockCache::invalidate_all(SbcStats& stats) {
   for (auto& b : blocks_) {
     if (b.valid) drop(b, stats);

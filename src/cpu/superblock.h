@@ -17,9 +17,11 @@
 // (taken / fall-through) so the dispatcher loop is skipped entirely. Every
 // chain follow re-checks the *target's* page version and the fetch
 // translation of the new pc, so chains are safe against self-modifying code,
-// breakpoint patching and remapping; on invalidate_range / invalidate_all /
-// slot reuse the incoming-jump list is walked and every edge into the dying
-// block is severed eagerly (the tb_phys_invalidate analog).
+// breakpoint patching and remapping without any writer-side hook (the
+// version contract in cpu/phys_mem.h). When lookup finds a slot stale, and
+// on invalidate_all or slot reuse, the incoming-jump list is walked and
+// every edge into the dying block is severed (the tb_phys_invalidate
+// analog).
 //
 // Determinism contract: a superblock retires exactly the state, cycle
 // charges and counter movements of the block-cache tier (which itself
@@ -268,10 +270,6 @@ class SuperblockCache {
   /// Severs one chain edge and its back-reference. Exposed for the executor's
   /// lazy unchain on a failed chain guard.
   static void unchain_edge(SuperBlock& from, u8 slot, SbcStats& stats);
-
-  /// Drops every superblock overlapping physical [begin, begin+len),
-  /// unchaining all edges in and out of each (tb_phys_invalidate analog).
-  void invalidate_range(PAddr begin, u32 len, SbcStats& stats);
 
   /// Drops everything (snapshot restore, explicit full invalidation).
   void invalidate_all(SbcStats& stats);

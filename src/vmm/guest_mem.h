@@ -16,6 +16,9 @@
 //    (ShadowMmu::pt_write) drop entries derived from the touched words,
 //  * monitor-initiated writes through this class drop entries whose PDE or
 //    PTE word overlaps the written range.
+// Writes need no hook for the CPU's decoded code: a monitor write (frame
+// push, RSP M, breakpoint patch) bumps the page version in PhysMem, and
+// every path into decoded code re-checks that version (cpu/phys_mem.h).
 // A guest store to a not-yet-registered PT frame leaves the cache stale
 // until the guest executes INVLPG or reloads CR3 — exactly the staleness
 // the architectural TLB exhibits, and the guest must already tolerate.
@@ -66,11 +69,6 @@ class GuestMemory final : public TranslationListener {
     walk_cost_ = walk;
     hit_cost_ = hit;
   }
-
-  /// Invoked once per physical chunk written (the owner invalidates
-  /// predecoded blocks covering patched guest text).
-  using WriteObserver = std::function<void(PAddr pa, u32 len)>;
-  void set_write_observer(WriteObserver obs) { observe_write_ = std::move(obs); }
 
   /// Kill switch mirroring Cpu::set_block_cache_enabled: disabled, every
   /// translation performs a full guest walk. Translation results are
@@ -141,8 +139,7 @@ class GuestMemory final : public TranslationListener {
   bool cache_enabled_ = true;  // snap:skip(host tuning knob)
   Cycles walk_cost_ = 0;  // snap:skip(cost-model config, set at install)
   Cycles hit_cost_ = 0;   // snap:skip(cost-model config, set at install)
-  ChargeFn charge_;               // snap:skip(host callback wiring)
-  WriteObserver observe_write_;   // snap:skip(host callback wiring)
+  ChargeFn charge_;  // snap:skip(host callback wiring)
   /// Reused across calls so hot-path span accesses do not allocate.
   /// snap:skip(scratch; contents are meaningless between calls)
   std::vector<Seg> scratch_segs_;

@@ -37,13 +37,6 @@ Lvmm::Lvmm(hw::Machine& machine, const Config& cfg)
   shadow_->set_translation_listener(gmem_.get());
   gmem_->set_walk_costs(cfg_.costs.guest_walk, cfg_.costs.guest_walk_hit);
   gmem_->set_charge_hook([this](Cycles c) { charge(c); });
-  // Debugger pokes may overwrite guest text (breakpoint opcode patching):
-  // drop any predecoded block covering the patched bytes. The page version
-  // bump from write_block() already guarantees staleness; this frees the
-  // slots eagerly.
-  gmem_->set_write_observer([this](PAddr pa, u32 len) {
-    machine_.cpu().invalidate_block_cache_range(pa, len);
-  });
 }
 
 Lvmm::~Lvmm() = default;
@@ -384,6 +377,8 @@ void Lvmm::resume_guest() {
 }
 
 void Lvmm::arm_single_step() { st().set_tf(true); }
+
+void Lvmm::disarm_single_step() { st().set_tf(false); }
 
 std::vector<std::pair<VAddr, u32>> Lvmm::watchpoint_list() const {
   std::vector<std::pair<VAddr, u32>> out;

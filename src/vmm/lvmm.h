@@ -144,6 +144,8 @@ class Lvmm : public cpu::TrapHook {
   bool guest_frozen() const { return frozen_; }
   /// Arms a hardware single step of the guest (physical TF).
   void arm_single_step();
+  /// Cancels an armed single step that will never be reported.
+  void disarm_single_step();
 
   // --- data watchpoints (write), built on shadow paging ---
   /// Watches guest-virtual [va, va+len). Requires guest paging enabled

@@ -298,10 +298,15 @@ void DebugStub::do_reverse(bool is_continue) {
     send_packet("E01");
     return;
   }
-  // Landed frozen somewhere in the past: report it like a live stop.
+  // Landed frozen somewhere in the past: report it like a live stop. Any
+  // step in flight is abandoned — including one the landing image itself
+  // carries: the checkpoint anchored at an 's' (or at a resume that steps
+  // over a breakpoint) was captured with the trap flag already armed, and
+  // left armed, the next resume would deliver a #DB nobody wants.
   stopped_ = true;
   user_stepping_ = false;
   step_over_.reset();
+  mon_.disarm_single_step();
   switch (r.reason) {
     case StopReason::kWatchpoint: {
       char buf[32];

@@ -581,11 +581,12 @@ TEST(CpuDifferential, BreakpointPatchViaWriteVirtInvalidates) {
   EXPECT_GE(cached.cpu.stats().block_invalidations, 1u);
   // The breakpoint patch must also have severed the stale superblock (and
   // its self-chain) rather than let the chained loop keep running the old
-  // translation: write_virt goes through the eager invalidation hook.
+  // translation: write_virt only bumps the page version, and the next
+  // lookup drops the stale slot.
   EXPECT_GT(cached.cpu.sbc_stats().invalidations, sb_invals_before);
   EXPECT_GT(cached.cpu.sbc_stats().unchains, 0u);
 
-  // The explicit belt-and-braces API also drops blocks in both tiers.
+  // The explicit full invalidation (snapshot restore's) drops blocks too.
   const u64 before = cached.cpu.stats().block_invalidations;
   cached.cpu.invalidate_block_cache();
   EXPECT_GT(cached.cpu.stats().block_invalidations, before);

@@ -6,11 +6,14 @@
 
 #include "asm/assembler.h"
 #include "common/units.h"
+#include "cpu/isa.h"
+#include "cpu/superblock.h"
 #include "debug/remote_debugger.h"
 #include "guest/layout.h"
 #include "guest/minitactix.h"
 #include "harness/platform.h"
 #include "vmm/stub.h"
+#include "vmm/time_travel.h"
 
 namespace vdbg::test {
 namespace {
@@ -268,6 +271,73 @@ TEST(DebugSession, StreamSurvivesRepeatedBreakInsWithIntegrity) {
   EXPECT_EQ(rig.platform->sink().sequence_gaps(), 0u);
   EXPECT_EQ(rig.platform->sink().content_errors(), 0u);
   EXPECT_EQ(rig.platform->sink().checksum_errors(), 0u);
+}
+
+// An RSP `M` rewrite of kernel text the guest runs every tick must take
+// effect at once, in every tier. Nothing tells the CPU about the write: the
+// page-version bump alone must retire the hot, chained decoded copy of the
+// timer ISR's tick increment.
+struct TickPatch {
+  std::vector<u8> state;  // machine+monitor snapshot at the final stop
+  u32 ticks_before = 0;
+  u32 ticks_after = 0;
+};
+
+TickPatch patch_tick_increment(bool block_cache, bool superblocks) {
+  TickPatch out;
+  DebugRig rig(RunConfig::for_rate_mbps(40.0));
+  auto& m = rig.platform->machine();
+  m.cpu().set_block_cache_enabled(block_cache);
+  m.cpu().set_superblocks_enabled(superblocks);
+  EXPECT_TRUE(rig.dbg->connect());
+  m.run_for(seconds_to_cycles(0.05));
+  EXPECT_EQ(rig.dbg->interrupt(), StopKind::kBreak);
+  out.ticks_before = rig.platform->mailbox().ticks;
+  // Past the promotion threshold the increment runs from a superblock.
+  EXPECT_GT(out.ticks_before, cpu::SuperblockCache::kHotThreshold);
+  if (superblocks) {
+    EXPECT_GT(m.cpu().sbc_stats().chains, 0u);
+  }
+
+  // isr_timer_count: ld32 r0, ticks; addi r0, r0, 1; st32 ticks, r0.
+  const u32 site = rig.dbg->lookup("isr_timer_count").value_or(0) +
+                   cpu::kInstrBytes;
+  const auto old_bytes = rig.dbg->read_memory(site, cpu::kInstrBytes);
+  EXPECT_TRUE(old_bytes && old_bytes->size() == cpu::kInstrBytes);
+  if (!old_bytes || old_bytes->size() != cpu::kInstrBytes) return out;
+  cpu::Instr add = cpu::Instr::decode(old_bytes->data());
+  EXPECT_EQ(add.op, cpu::Opcode::kAddI);
+  EXPECT_EQ(add.imm, 1u);
+  add.imm = 0x10000;
+  const auto new_bytes = add.encode();
+  EXPECT_TRUE(rig.dbg->write_memory(site, new_bytes));
+
+  EXPECT_EQ(rig.dbg->continue_and_wait(seconds_to_cycles(0.001)),
+            StopKind::kTimeout);
+  m.run_for(seconds_to_cycles(0.02));
+  EXPECT_EQ(rig.dbg->interrupt(), StopKind::kBreak);
+  out.ticks_after = rig.platform->mailbox().ticks;
+  out.state = vmm::TimeTravel(*rig.platform->monitor()).save_state();
+  EXPECT_EQ(rig.platform->mailbox().last_error, 0u);
+  return out;
+}
+
+TEST(DebugSession, RspRewriteOfHotKernelTextTakesEffectInEveryTier) {
+  const TickPatch super = patch_tick_increment(true, true);
+  const TickPatch block = patch_tick_increment(true, false);
+  const TickPatch interp = patch_tick_increment(false, false);
+
+  // Every tick after the resume adds 0x10000; a break-in that froze the
+  // ISR between its add and its store contributes one stale +1.
+  const u32 delta = super.ticks_after - super.ticks_before;
+  EXPECT_GE(delta >> 16, 10u) << "the patched increment never ran";
+  EXPECT_LE(delta & 0xffff, 1u) << "the stale increment kept running";
+
+  ASSERT_FALSE(super.state.empty());
+  EXPECT_EQ(super.ticks_after, block.ticks_after);
+  EXPECT_EQ(super.ticks_after, interp.ticks_after);
+  EXPECT_EQ(super.state, block.state) << "tiers 2 and 1 diverged";
+  EXPECT_EQ(super.state, interp.state) << "tier 2 and the interpreter diverged";
 }
 
 }  // namespace

@@ -421,6 +421,39 @@ TEST(TimeTravelRsp, ReverseContinueLandsOnPreviousWatchHit) {
   EXPECT_EQ(regs_back->pc, regs_hit->pc);
 }
 
+// Stepping off a breakpoint anchors a checkpoint after the stub armed the
+// trap flag. Reverse-stepping lands on that checkpoint; once the breakpoint
+// is cleared, a plain continue must run the guest on, not deliver a stray
+// single-step #DB that the guest cannot handle.
+TEST(TimeTravelRsp, ContinueAfterReverseStepOffBreakpointRunsCleanly) {
+  TtRig rig;
+  ASSERT_TRUE(rig.dbg->connect());
+  rig.platform->machine().run_for(seconds_to_cycles(0.03));
+  rig.tt->enable();
+
+  const auto isr_nic = rig.dbg->lookup("isr_nic");
+  ASSERT_TRUE(isr_nic);
+  ASSERT_TRUE(rig.dbg->set_breakpoint(*isr_nic));
+  ASSERT_EQ(rig.dbg->continue_and_wait(seconds_to_cycles(0.05)),
+            StopKind::kBreak);
+  ASSERT_EQ(rig.dbg->read_registers()->pc, *isr_nic);
+  ASSERT_EQ(rig.dbg->step(), StopKind::kBreak);
+  const auto stepped = rig.dbg->icount();
+  ASSERT_TRUE(stepped);
+  ASSERT_EQ(rig.dbg->reverse_step(), StopKind::kBreak);
+  ASSERT_EQ(rig.dbg->icount().value_or(0), *stepped - 1);
+  ASSERT_EQ(rig.dbg->read_registers()->pc, *isr_nic);
+  EXPECT_FALSE(rig.platform->machine().cpu().state().trap_flag())
+      << "the landing kept the abandoned step's trap flag armed";
+
+  ASSERT_TRUE(rig.dbg->clear_breakpoint(*isr_nic));
+  EXPECT_EQ(rig.dbg->continue_and_wait(seconds_to_cycles(0.002)),
+            StopKind::kTimeout);
+  rig.platform->machine().run_for(seconds_to_cycles(0.01));
+  EXPECT_EQ(rig.platform->mailbox().last_error, 0u);
+  EXPECT_EQ(rig.platform->sink().checksum_errors(), 0u);
+}
+
 // Reverse without history is refused over the wire (Exx -> kError) and the
 // target stays usable.
 TEST(TimeTravelRsp, ReverseWithoutHistoryIsRefused) {
