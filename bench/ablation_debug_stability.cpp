@@ -19,17 +19,16 @@
 
 #include "common/units.h"
 #include "debug/remote_debugger.h"
+#include "fleet/machine_unit.h"
 #include "guest/layout.h"
-#include "harness/platform.h"
 #include "vmm/stub.h"
 #include "vmm/time_travel.h"
 
 using namespace vdbg;
-using namespace vdbg::harness;
 
 namespace {
 
-void destroy_idt(Platform& p) {
+void destroy_idt(fleet::MachineUnit& p) {
   const auto idt = p.image().kernel.symbol("idt").value();
   for (u32 i = 0; i < guest::kIdtEntries * 8; i += 4) {
     p.machine().mem().write32(idt + i, 0);
@@ -44,7 +43,7 @@ struct CheckpointRun {
 
 /// tier 0 = slow interpreter, 1 = block cache, 2 = + superblocks (default).
 CheckpointRun run_checkpointed(u64 interval, int tier) {
-  Platform p(PlatformKind::kLvmm);
+  fleet::MachineUnit p(fleet::UnitKind::kLvmm);
   p.prepare(guest::RunConfig::for_rate_mbps(40.0));
   p.machine().cpu().set_block_cache_enabled(tier >= 1);
   p.machine().cpu().set_superblocks_enabled(tier >= 2);
@@ -110,7 +109,7 @@ int main() {
 
   bool native_died = false;
   {
-    Platform p(PlatformKind::kNative);
+    fleet::MachineUnit p(fleet::UnitKind::kNative);
     p.prepare(guest::RunConfig());
     p.machine().run_for(seconds_to_cycles(0.01));
     destroy_idt(p);
@@ -122,7 +121,7 @@ int main() {
 
   bool lvmm_ok = false;
   {
-    Platform p(PlatformKind::kLvmm);
+    fleet::MachineUnit p(fleet::UnitKind::kLvmm);
     p.prepare(guest::RunConfig());
     vmm::DebugStub stub(*p.monitor(), p.machine().uart());
     stub.attach();

@@ -18,13 +18,12 @@
 #include <cstring>
 
 #include "common/units.h"
+#include "fleet/machine_unit.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
 #include "vmm/flight_loop.h"
 #include "vmm/trace.h"
 
 using namespace vdbg;
-using namespace vdbg::harness;
 
 namespace {
 
@@ -38,7 +37,7 @@ struct Res {
 };
 
 Res run(bool flight) {
-  Platform p(PlatformKind::kLvmm);
+  fleet::MachineUnit p(fleet::UnitKind::kLvmm);
   p.prepare(guest::RunConfig::for_rate_mbps(2000.0));  // saturate
   p.metrics().set_enabled(false);  // attached but disabled: no export
 

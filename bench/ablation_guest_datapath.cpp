@@ -35,8 +35,8 @@ int main() {
   for (const auto& c : cfgs) {
     SweepOptions o = opt;
     o.base_run.run_flags = c.flags;
-    const auto n = saturation(PlatformKind::kNative, o);
-    const auto l = saturation(PlatformKind::kLvmm, o);
+    const auto n = saturation(fleet::UnitKind::kNative, o);
+    const auto l = saturation(fleet::UnitKind::kLvmm, o);
     std::printf("%-34s %12.1f %12.1f\n", c.name, n.achieved_mbps,
                 l.achieved_mbps);
     if (n.achieved_mbps + 1.0 < prev_native) monotone = false;

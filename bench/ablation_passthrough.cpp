@@ -18,9 +18,9 @@ int main() {
   SweepOptions no_pass = opt;
   no_pass.platform.lvmm_device_passthrough = false;
 
-  const Measurement with_pt = saturation(PlatformKind::kLvmm, opt);
-  const Measurement without_pt = saturation(PlatformKind::kLvmm, no_pass);
-  const Measurement hosted = saturation(PlatformKind::kHosted, opt);
+  const Measurement with_pt = saturation(fleet::UnitKind::kLvmm, opt);
+  const Measurement without_pt = saturation(fleet::UnitKind::kLvmm, no_pass);
+  const Measurement hosted = saturation(fleet::UnitKind::kHosted, opt);
 
   std::printf("=== Ablation: device passthrough (I/O permission bitmap) ===\n");
   std::printf("%-34s %10s %8s %10s\n", "configuration", "sat Mbps", "load%",

@@ -23,9 +23,9 @@ int main() {
     SweepOptions o = opt;
     o.base_run.segment_bytes = seg;
     o.base_run.chunk_bytes = seg * 1024;  // keep divisibility for all sizes
-    const auto n = saturation(PlatformKind::kNative, o);
-    const auto l = saturation(PlatformKind::kLvmm, o);
-    const auto h = saturation(PlatformKind::kHosted, o);
+    const auto n = saturation(fleet::UnitKind::kNative, o);
+    const auto l = saturation(fleet::UnitKind::kLvmm, o);
+    const auto h = saturation(fleet::UnitKind::kHosted, o);
     const double frac = l.achieved_mbps / n.achieved_mbps;
     std::printf("%-10u %14.1f %14.1f %14.1f %11.1f%%\n", seg,
                 n.achieved_mbps, l.achieved_mbps, h.achieved_mbps,

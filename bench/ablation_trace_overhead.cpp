@@ -18,12 +18,11 @@
 #include <cstring>
 
 #include "common/units.h"
+#include "fleet/machine_unit.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
 #include "vmm/trace.h"
 
 using namespace vdbg;
-using namespace vdbg::harness;
 
 namespace {
 
@@ -36,9 +35,9 @@ struct Res {
 };
 
 Res run(bool with_registry, bool tracing) {
-  PlatformOptions opts;
+  fleet::UnitOptions opts;
   opts.metrics_registration = with_registry;
-  Platform p(PlatformKind::kLvmm, opts);
+  fleet::MachineUnit p(fleet::UnitKind::kLvmm, opts);
   p.prepare(guest::RunConfig::for_rate_mbps(2000.0));  // saturate
   p.metrics().set_enabled(false);  // attached but disabled: no export
   vmm::ExitTracer tracer(4096);

@@ -7,9 +7,9 @@
 #include <cstdio>
 
 #include "common/units.h"
+#include "fleet/machine_unit.h"
 #include "guest/minitactix.h"
 #include "harness/experiment.h"
-#include "harness/platform.h"
 #include "vmm/lvmm.h"
 
 using namespace vdbg;
@@ -22,7 +22,7 @@ namespace {
 /// analogue of the hosted world-switch axis: how much of the per-exit tax
 /// the monitor's own memory accesses account for.
 double lvmm_cycles_per_exit(bool vtlb) {
-  Platform p(PlatformKind::kLvmm);
+  fleet::MachineUnit p(fleet::UnitKind::kLvmm);
   p.prepare(guest::RunConfig::for_rate_mbps(40.0));
   p.monitor()->guest_mem().set_translation_cache_enabled(vtlb);
   p.machine().run_for(seconds_to_cycles(0.1));
@@ -44,7 +44,7 @@ int main() {
                     Cycles{40000}}) {
     SweepOptions o = opt;
     o.platform.hosted_costs.world_switch = ws;
-    const auto m = saturation(PlatformKind::kHosted, o);
+    const auto m = saturation(fleet::UnitKind::kHosted, o);
     std::printf("%-14llu %-22s %10.1f %8.1f\n", (unsigned long long)ws,
                 "per register access", m.achieved_mbps, m.cpu_load * 100.0);
     if (m.achieved_mbps > prev + 0.5) monotonic = false;
@@ -55,12 +55,12 @@ int main() {
   // Sugerman et al. describe.
   SweepOptions batched = opt;
   batched.platform.hosted_costs.switch_on_every_access = false;
-  const auto mb = saturation(PlatformKind::kHosted, batched);
+  const auto mb = saturation(fleet::UnitKind::kHosted, batched);
   std::printf("%-14llu %-22s %10.1f %8.1f\n",
               (unsigned long long)batched.platform.hosted_costs.world_switch,
               "per doorbell (batched)", mb.achieved_mbps, mb.cpu_load * 100.0);
 
-  const auto base = saturation(PlatformKind::kHosted, opt);
+  const auto base = saturation(fleet::UnitKind::kHosted, opt);
   std::printf("\nsend-combining speedup: %.2fx\n",
               mb.achieved_mbps / base.achieved_mbps);
   std::printf("rate monotonically falls with switch cost: %s\n",

@@ -13,14 +13,13 @@
 #include <optional>
 
 #include "common/units.h"
+#include "fleet/machine_unit.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
 #include "vmm/time_travel.h"
 
 namespace {
 
 using namespace vdbg;
-using namespace vdbg::harness;
 
 struct RunResult {
   u64 instructions = 0;
@@ -35,7 +34,7 @@ struct RunOpts {
 };
 
 RunResult run_with_interval(RunOpts opts) {
-  Platform p(PlatformKind::kLvmm);
+  fleet::MachineUnit p(fleet::UnitKind::kLvmm);
   p.prepare(guest::RunConfig::for_rate_mbps(40.0));
   std::optional<vmm::TimeTravel> tt;
   if (opts.interval != 0) {
@@ -121,7 +120,7 @@ BENCHMARK(BM_CheckpointDelta)
 void BM_ReverseStepi(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
-    Platform p(PlatformKind::kLvmm);
+    fleet::MachineUnit p(fleet::UnitKind::kLvmm);
     p.prepare(guest::RunConfig::for_rate_mbps(40.0));
     vmm::TimeTravel::Config cfg;
     cfg.interval = 20'000;

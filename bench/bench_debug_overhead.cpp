@@ -9,12 +9,11 @@
 
 #include "common/units.h"
 #include "debug/remote_debugger.h"
+#include "fleet/machine_unit.h"
 #include "guest/layout.h"
-#include "harness/platform.h"
 #include "vmm/stub.h"
 
 using namespace vdbg;
-using namespace vdbg::harness;
 
 namespace {
 
@@ -25,7 +24,7 @@ struct Result {
 };
 
 Result run_scenario(int scenario) {
-  Platform p(PlatformKind::kLvmm);
+  fleet::MachineUnit p(fleet::UnitKind::kLvmm);
   p.prepare(guest::RunConfig::for_rate_mbps(100.0));
 
   std::unique_ptr<vmm::DebugStub> stub;

@@ -15,9 +15,10 @@
 
 #include "common/stats.h"
 #include "common/units.h"
+#include "fleet/machine_unit.h"
 #include "guest/layout.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
+#include "harness/report.h"
 #include "vmm/lvmm.h"
 
 using namespace vdbg;
@@ -30,8 +31,8 @@ struct Lat {
   int samples;
 };
 
-Lat measure(PlatformKind kind, double mbps) {
-  Platform p(kind);
+Lat measure(fleet::UnitKind kind, double mbps) {
+  fleet::MachineUnit p(kind);
   guest::RunConfig rc = guest::RunConfig::for_rate_mbps(mbps);
   rc.run_flags |= guest::Mailbox::kFlagMeasureLatency;
   p.prepare(rc);
@@ -64,24 +65,24 @@ int main() {
   std::printf("%-18s %-12s %12s %12s\n", "platform", "guest load", "p50",
               "p99");
   struct Row {
-    PlatformKind kind;
+    fleet::UnitKind kind;
     double mbps;
   };
   double idle_native = 0, idle_lvmm = 0, idle_hosted = 0;
-  for (const Row r : {Row{PlatformKind::kNative, 0.0},
-                      Row{PlatformKind::kNative, 100.0},
-                      Row{PlatformKind::kLvmm, 0.0},
-                      Row{PlatformKind::kLvmm, 100.0},
-                      Row{PlatformKind::kHosted, 0.0},
-                      Row{PlatformKind::kHosted, 20.0}}) {
+  for (const Row r : {Row{fleet::UnitKind::kNative, 0.0},
+                      Row{fleet::UnitKind::kNative, 100.0},
+                      Row{fleet::UnitKind::kLvmm, 0.0},
+                      Row{fleet::UnitKind::kLvmm, 100.0},
+                      Row{fleet::UnitKind::kHosted, 0.0},
+                      Row{fleet::UnitKind::kHosted, 20.0}}) {
     const Lat lat = measure(r.kind, r.mbps);
     std::printf("%-18s %-12s %12.0f %12.0f\n",
                 std::string(platform_name(r.kind)).c_str(),
                 r.mbps == 0 ? "idle" : "streaming", lat.p50, lat.p99);
     if (r.mbps == 0) {
-      if (r.kind == PlatformKind::kNative) idle_native = lat.p50;
-      if (r.kind == PlatformKind::kLvmm) idle_lvmm = lat.p50;
-      if (r.kind == PlatformKind::kHosted) idle_hosted = lat.p50;
+      if (r.kind == fleet::UnitKind::kNative) idle_native = lat.p50;
+      if (r.kind == fleet::UnitKind::kLvmm) idle_lvmm = lat.p50;
+      if (r.kind == fleet::UnitKind::kHosted) idle_hosted = lat.p50;
     }
   }
   std::printf("\nvirtualisation tax on delivery (idle p50): lvmm %.1fx, "
@@ -94,7 +95,7 @@ int main() {
   // monitor cycles charged per external-interrupt exit (arrival + vPIC +
   // injection walks) is the monitor-side component of the latency above.
   {
-    Platform p(PlatformKind::kLvmm);
+    fleet::MachineUnit p(fleet::UnitKind::kLvmm);
     p.prepare(guest::RunConfig::for_rate_mbps(100.0));
     p.machine().run_for(seconds_to_cycles(0.1));
     const auto& irq = p.monitor()->exit_stats().kind(vmm::ExitKind::kInterrupt);

@@ -8,12 +8,11 @@
 
 #include "common/units.h"
 #include "debug/remote_debugger.h"
+#include "fleet/machine_unit.h"
 #include "guest/layout.h"
-#include "harness/platform.h"
 #include "vmm/stub.h"
 
 using namespace vdbg;
-using namespace vdbg::harness;
 
 namespace {
 
@@ -21,8 +20,8 @@ struct Row {
   double p50, p99, max_us, achieved;
 };
 
-Row measure(PlatformKind kind, bool polling) {
-  Platform p(kind);
+Row measure(fleet::UnitKind kind, bool polling) {
+  fleet::MachineUnit p(kind);
   p.prepare(guest::RunConfig::for_rate_mbps(100.0));
   std::unique_ptr<vmm::DebugStub> stub;
   std::unique_ptr<debug::RemoteDebugger> dbg;
@@ -58,9 +57,9 @@ int main() {
   std::printf("(ideal spacing: ~82 us between frames)\n\n");
   std::printf("%-30s %10s %10s %10s %10s\n", "platform", "p50 us", "p99 us",
               "max us", "Mbps");
-  const Row native = measure(PlatformKind::kNative, false);
-  const Row lvmm = measure(PlatformKind::kLvmm, false);
-  const Row polled = measure(PlatformKind::kLvmm, true);
+  const Row native = measure(fleet::UnitKind::kNative, false);
+  const Row lvmm = measure(fleet::UnitKind::kLvmm, false);
+  const Row polled = measure(fleet::UnitKind::kLvmm, true);
   auto pr = [](const char* n, const Row& r) {
     std::printf("%-30s %10.1f %10.1f %10.1f %10.1f\n", n, r.p50, r.p99,
                 r.max_us, r.achieved);

@@ -8,22 +8,21 @@
 #include <string>
 
 #include "common/units.h"
+#include "fleet/machine_unit.h"
 #include "guest/layout.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
 #include "vmm/lvmm.h"
 
 namespace {
 
 using namespace vdbg;
-using namespace vdbg::harness;
 
 /// Runs a platform at a fixed low rate and attributes busy cycles to
 /// syscalls: busy_cycles / syscall_count. Includes the full path (INT,
 /// dispatch, send work, IRET, interrupts) — the *difference* between
 /// platforms is the virtualisation tax.
-double cycles_per_syscall(PlatformKind kind) {
-  Platform p(kind);
+double cycles_per_syscall(fleet::UnitKind kind) {
+  fleet::MachineUnit p(kind);
   p.prepare(guest::RunConfig::for_rate_mbps(40.0));
   p.machine().run_for(seconds_to_cycles(0.05));
   const auto mb0 = p.mailbox();
@@ -38,21 +37,21 @@ double cycles_per_syscall(PlatformKind kind) {
 
 void BM_SyscallPathNative(benchmark::State& state) {
   double v = 0;
-  for (auto _ : state) v = cycles_per_syscall(PlatformKind::kNative);
+  for (auto _ : state) v = cycles_per_syscall(fleet::UnitKind::kNative);
   state.counters["sim_cycles_per_syscall"] = v;
 }
 BENCHMARK(BM_SyscallPathNative)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void BM_SyscallPathLvmm(benchmark::State& state) {
   double v = 0;
-  for (auto _ : state) v = cycles_per_syscall(PlatformKind::kLvmm);
+  for (auto _ : state) v = cycles_per_syscall(fleet::UnitKind::kLvmm);
   state.counters["sim_cycles_per_syscall"] = v;
 }
 BENCHMARK(BM_SyscallPathLvmm)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void BM_SyscallPathHosted(benchmark::State& state) {
   double v = 0;
-  for (auto _ : state) v = cycles_per_syscall(PlatformKind::kHosted);
+  for (auto _ : state) v = cycles_per_syscall(fleet::UnitKind::kHosted);
   state.counters["sim_cycles_per_syscall"] = v;
 }
 BENCHMARK(BM_SyscallPathHosted)->Iterations(1)->Unit(benchmark::kMillisecond);
@@ -65,7 +64,7 @@ void BM_PerExitCharge(benchmark::State& state) {
   const bool cached = state.range(0) != 0;
   double v = 0;
   for (auto _ : state) {
-    Platform p(PlatformKind::kLvmm);
+    fleet::MachineUnit p(fleet::UnitKind::kLvmm);
     p.prepare(guest::RunConfig::for_rate_mbps(40.0));
     p.monitor()->guest_mem().set_translation_cache_enabled(cached);
     p.machine().run_for(seconds_to_cycles(0.1));

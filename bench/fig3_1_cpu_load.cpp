@@ -26,8 +26,8 @@ int main() {
                                      400, 450, 500, 550, 600, 650, 700};
 
   std::vector<Measurement> all;
-  for (auto kind :
-       {PlatformKind::kNative, PlatformKind::kLvmm, PlatformKind::kHosted}) {
+  for (auto kind : {fleet::UnitKind::kNative, fleet::UnitKind::kLvmm,
+                    fleet::UnitKind::kHosted}) {
     std::cout << "# sweeping " << platform_name(kind) << " ..." << std::endl;
     auto rows = sweep(kind, rates, opt);
     all.insert(all.end(), rows.begin(), rows.end());
@@ -39,7 +39,7 @@ int main() {
   print_csv(std::cout, all);
 
   // Quick shape check mirrored from the paper's curves.
-  auto at = [&](PlatformKind k, double rate) -> const Measurement& {
+  auto at = [&](fleet::UnitKind k, double rate) -> const Measurement& {
     for (const auto& m : all) {
       if (m.platform == k && m.offered_mbps == rate) return m;
     }
@@ -47,12 +47,12 @@ int main() {
     return none;
   };
   const bool native_carries_700 =
-      at(PlatformKind::kNative, 700).achieved_mbps > 650.0;
+      at(fleet::UnitKind::kNative, 700).achieved_mbps > 650.0;
   const bool ordering =
-      at(PlatformKind::kNative, 100).cpu_load <
-          at(PlatformKind::kLvmm, 100).cpu_load &&
-      at(PlatformKind::kLvmm, 100).cpu_load <
-          at(PlatformKind::kHosted, 100).cpu_load;
+      at(fleet::UnitKind::kNative, 100).cpu_load <
+          at(fleet::UnitKind::kLvmm, 100).cpu_load &&
+      at(fleet::UnitKind::kLvmm, 100).cpu_load <
+          at(fleet::UnitKind::kHosted, 100).cpu_load;
   std::cout << "\nshape-check: native carries 700 Mbps: "
             << (native_carries_700 ? "yes" : "NO")
             << "; load ordering native<lvmm<hosted at 100 Mbps: "

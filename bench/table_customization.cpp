@@ -11,11 +11,11 @@
 #include <cstdio>
 
 #include "common/units.h"
+#include "fleet/machine_unit.h"
 #include "guest/layout.h"
 #include "guest/minitactix.h"
 #include "guest/nanocoop.h"
 #include "guest/netrecorder.h"
-#include "harness/platform.h"
 #include "hw/machine.h"
 #include "net/udp.h"
 #include "vmm/lvmm.h"
@@ -41,7 +41,7 @@ vmm::Lvmm::Config monitor_config(const hw::Machine& m) {
 }
 
 Row run_minitactix() {
-  harness::Platform p(harness::PlatformKind::kLvmm);
+  fleet::MachineUnit p(fleet::UnitKind::kLvmm);
   p.prepare(guest::RunConfig::for_rate_mbps(60.0));
   p.machine().run_for(seconds_to_cycles(0.1));
   const auto mb = p.mailbox();

@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "harness/experiment.h"
+#include "harness/report.h"
 
 using namespace vdbg;
 using namespace vdbg::harness;
@@ -16,9 +17,9 @@ int main() {
   SweepOptions opt;
   opt.measure_seconds = 0.08;
 
-  const Measurement native = saturation(PlatformKind::kNative, opt);
-  const Measurement lvmm = saturation(PlatformKind::kLvmm, opt);
-  const Measurement hosted = saturation(PlatformKind::kHosted, opt);
+  const Measurement native = saturation(fleet::UnitKind::kNative, opt);
+  const Measurement lvmm = saturation(fleet::UnitKind::kLvmm, opt);
+  const Measurement hosted = saturation(fleet::UnitKind::kHosted, opt);
 
   std::printf("=== Saturated transfer rates (CPU-bound) ===\n");
   std::printf("%-18s %10s %8s %8s\n", "platform", "Mbps", "load%", "ok");

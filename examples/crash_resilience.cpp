@@ -12,9 +12,9 @@
 #include "asm/assembler.h"
 #include "common/units.h"
 #include "debug/remote_debugger.h"
+#include "fleet/machine_unit.h"
 #include "guest/layout.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
 #include "vmm/stub.h"
 
 using namespace vdbg;
@@ -24,7 +24,7 @@ namespace {
 /// Replaces the guest app with a buggy one: it streams briefly, then follows
 /// a wild pointer into the guest's own IDT and scribbles over it; the next
 /// interrupt finds no usable gates and the kernel triple-faults.
-void plant_bug(harness::Platform& p) {
+void plant_bug(fleet::MachineUnit& p) {
   const u32 idt = p.image().kernel.symbol("idt").value();
   vasm::Assembler a(guest::kAppBase);
   using namespace vasm;
@@ -54,7 +54,7 @@ void plant_bug(harness::Platform& p) {
   a.finalize().load(p.machine().mem());
 }
 
-void corrupt_idt(harness::Platform& p) {
+void corrupt_idt(fleet::MachineUnit& p) {
   const u32 idt = p.image().kernel.symbol("idt").value();
   for (u32 i = 0; i < guest::kIdtEntries * 8; i += 4) {
     p.machine().mem().write32(idt + i, 0x00dead00);
@@ -66,7 +66,7 @@ void corrupt_idt(harness::Platform& p) {
 int main() {
   std::printf("=== scenario 1: the bug on real hardware ===\n");
   {
-    harness::Platform p(harness::PlatformKind::kNative);
+    fleet::MachineUnit p(fleet::UnitKind::kNative);
     p.prepare(guest::RunConfig::for_rate_mbps(60.0));
     plant_bug(p);
     p.machine().run_for(seconds_to_cycles(0.005));
@@ -80,7 +80,7 @@ int main() {
 
   std::printf("\n=== scenario 2: the same bug under the lightweight monitor "
               "===\n");
-  harness::Platform p(harness::PlatformKind::kLvmm);
+  fleet::MachineUnit p(fleet::UnitKind::kLvmm);
   p.prepare(guest::RunConfig::for_rate_mbps(60.0));
   plant_bug(p);  // before anything runs: the buggy app ships in the image
   vmm::DebugStub stub(*p.monitor(), p.machine().uart());

@@ -13,9 +13,9 @@
 
 #include "common/units.h"
 #include "debug/remote_debugger.h"
+#include "fleet/machine_unit.h"
 #include "guest/layout.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
 #include "vmm/stub.h"
 
 using namespace vdbg;
@@ -23,7 +23,7 @@ using debug::RemoteDebugger;
 using StopKind = RemoteDebugger::StopKind;
 
 int main() {
-  harness::Platform platform(harness::PlatformKind::kLvmm);
+  fleet::MachineUnit platform(fleet::UnitKind::kLvmm);
   auto rc = guest::RunConfig::for_rate_mbps(60.0);
   platform.prepare(rc);
   platform.sink().set_payload_validator(guest::make_stream_validator(rc));

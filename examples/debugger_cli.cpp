@@ -14,9 +14,9 @@
 
 #include "common/units.h"
 #include "debug/cli.h"
+#include "fleet/machine_unit.h"
 #include "fleet/multiverse.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
 #include "vmm/flight_recorder.h"
 #include "vmm/stub.h"
 #include "vmm/time_travel.h"
@@ -25,7 +25,7 @@
 using namespace vdbg;
 
 int main(int argc, char** argv) {
-  harness::Platform platform(harness::PlatformKind::kLvmm);
+  fleet::MachineUnit platform(fleet::UnitKind::kLvmm);
   platform.prepare(guest::RunConfig::for_rate_mbps(60.0));
 
   vmm::DebugStub stub(*platform.monitor(), platform.machine().uart());
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   // a checkpoint taken at the current stop and run them on fleet workers.
   fleet::MultiverseConfig mvcfg;
   mvcfg.run = guest::RunConfig::for_rate_mbps(60.0);
-  vmm::MultiverseService multiverse(stub, tt, mvcfg);
+  fleet::MultiverseService multiverse(stub, tt, mvcfg);
 
   // `metrics [prefix]` and `dump` route through these over the wire.
   stub.set_metrics(&platform.metrics());
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   // The VDBG_FLIGHT_LOOP env hook arms continuous capture on the unit
   // during prepare(); wire it up so `profile` / `history` / `window`
   // answer over this stub.
-  if (vmm::FlightLoop* fl = platform.unit().flight_loop()) {
+  if (vmm::FlightLoop* fl = platform.flight_loop()) {
     stub.set_flight_loop(fl);
   }
 

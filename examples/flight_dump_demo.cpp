@@ -10,9 +10,9 @@
 #include <cstdio>
 
 #include "common/units.h"
+#include "fleet/machine_unit.h"
 #include "guest/layout.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
 #include "vmm/flight_recorder.h"
 #include "vmm/trace.h"
 
@@ -23,7 +23,7 @@ namespace {
 /// Wrecks the guest's IDT so the next interrupt finds no usable gates and
 /// the kernel virtual-triple-faults (see crash_resilience.cpp for the
 /// full wild-pointer story; here the collateral damage is enough).
-void corrupt_idt(harness::Platform& p) {
+void corrupt_idt(fleet::MachineUnit& p) {
   const u32 idt = p.image().kernel.symbol("idt").value();
   for (u32 i = 0; i < guest::kIdtEntries * 8; i += 4) {
     p.machine().mem().write32(idt + i, 0x00dead00);
@@ -35,7 +35,7 @@ void corrupt_idt(harness::Platform& p) {
 int main(int argc, char** argv) {
   const std::string out_dir = argc > 1 ? argv[1] : ".";
 
-  harness::Platform p(harness::PlatformKind::kLvmm);
+  fleet::MachineUnit p(fleet::UnitKind::kLvmm);
   p.prepare(guest::RunConfig::for_rate_mbps(60.0));
 
   vmm::ExitTracer tracer(4096);

@@ -10,16 +10,16 @@
 #include <cstdio>
 
 #include "common/units.h"
+#include "fleet/machine_unit.h"
 #include "guest/layout.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
 
 using namespace vdbg;
 
 int main() {
   // 1. A platform bundles the simulated PC/AT machine, the guest image and
   //    (here) the lightweight monitor.
-  harness::Platform platform(harness::PlatformKind::kLvmm);
+  fleet::MachineUnit platform(fleet::UnitKind::kLvmm);
 
   // 2. Configure the workload: 100 Mbps of 1 KiB UDP segments cut from
   //    2 MiB reads striped over the three SCSI disks.

@@ -13,6 +13,7 @@
 #include "guest/layout.h"
 #include "guest/minitactix.h"
 #include "harness/experiment.h"
+#include "harness/report.h"
 
 using namespace vdbg;
 using namespace vdbg::harness;
@@ -33,8 +34,8 @@ int main(int argc, char** argv) {
   SweepOptions opt;
   std::printf("%-18s %10s %10s %8s %12s\n", "platform", "offered",
               "achieved", "load%", "verdict");
-  for (auto kind :
-       {PlatformKind::kNative, PlatformKind::kLvmm, PlatformKind::kHosted}) {
+  for (auto kind : {fleet::UnitKind::kNative, fleet::UnitKind::kLvmm,
+                    fleet::UnitKind::kHosted}) {
     const auto m = run_point(kind, rate, opt);
     const bool keeps_up = m.achieved_mbps > rate * 0.95;
     const char* verdict = !m.guest_healthy ? "guest sick"
@@ -52,7 +53,7 @@ int main(int argc, char** argv) {
   // Live operation: send an in-band UDP control request to the appliance
   // (running under the LVMM) and watch the stream re-pace, no restart.
   std::printf("\n--- live rate change over the UDP control channel ---\n");
-  Platform live(PlatformKind::kLvmm);
+  fleet::MachineUnit live(fleet::UnitKind::kLvmm);
   live.prepare(guest::RunConfig::for_rate_mbps(rate / 2));
   live.machine().run_for(seconds_to_cycles(0.08));
   live.sink().begin_window(live.machine().now());

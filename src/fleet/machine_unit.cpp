@@ -1,6 +1,10 @@
 #include "fleet/machine_unit.h"
 
+#include <unistd.h>
+
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "guest/layout.h"
 
@@ -61,6 +65,19 @@ void MachineUnit::prepare(const guest::RunConfig& rc) {
     machine_->register_metrics(metrics_);
     monitor_->register_metrics(metrics_);
   }
+
+  // Environment hooks, read once during single-threaded setup; nothing
+  // ever setenvs.
+  if (const char* dir = std::getenv("VDBG_FLIGHT_DIR")) {  // NOLINT(concurrency-mt-unsafe)
+    arm_flight_recorder(dir, "flight-" + std::to_string(getpid()));
+  }
+  if (const char* iv = std::getenv("VDBG_FLIGHT_LOOP")) {  // NOLINT(concurrency-mt-unsafe)
+    vmm::FlightLoop::Config fc;
+    char* end = nullptr;
+    const unsigned long long v = std::strtoull(iv, &end, 10);
+    if (end != iv && *end == '\0' && v > 0) fc.interval = v;
+    arm_flight_loop(fc);
+  }
 }
 
 // thread:init-only(runs before the unit is handed to any worker)
@@ -77,18 +94,22 @@ vmm::DebugStub* MachineUnit::attach_stub() {
   return stub_.get();
 }
 
+// thread:handoff(called by arm_flight_recorder / arm_flight_loop)
+void MachineUnit::ensure_tracer() {
+  if (monitor_->tracer()) return;
+  // Shared by the recorder and the loop. The tracer bills its per-event
+  // charge (costs.h) whichever observer attached it.
+  flight_tracer_ = std::make_unique<vmm::ExitTracer>();
+  flight_tracer_->set_enabled(true);
+  monitor_->set_tracer(flight_tracer_.get());
+}
+
 // thread:handoff(owning worker via the slot.mu arm_requested protocol, or harness init before the run)
 vmm::FlightRecorder* MachineUnit::arm_flight_recorder(
     const std::string& dir, const std::string& file_prefix) {
   if (flight_) return flight_.get();
   if (!monitor_) return nullptr;
-  // The tracer and recorder are host-side observers — they charge nothing,
-  // so the simulated timeline is identical with or without them.
-  if (!monitor_->tracer()) {
-    flight_tracer_ = std::make_unique<vmm::ExitTracer>();
-    flight_tracer_->set_enabled(true);
-    monitor_->set_tracer(flight_tracer_.get());
-  }
+  ensure_tracer();
   vmm::FlightRecorder::Config fc;
   fc.out_dir = dir;
   fc.file_prefix = file_prefix;
@@ -105,11 +126,7 @@ vmm::FlightLoop* MachineUnit::arm_flight_loop(
     const vmm::FlightLoop::Config& cfg) {
   if (flight_loop_) return flight_loop_.get();
   if (!monitor_) return nullptr;
-  if (!monitor_->tracer()) {
-    flight_tracer_ = std::make_unique<vmm::ExitTracer>();
-    flight_tracer_->set_enabled(true);
-    monitor_->set_tracer(flight_tracer_.get());
-  }
+  ensure_tracer();
   flight_loop_ = std::make_unique<vmm::FlightLoop>(*monitor_, cfg);
   flight_loop_->set_metrics(&metrics_);
   flight_loop_->arm();

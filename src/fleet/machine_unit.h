@@ -1,7 +1,7 @@
 // One fully self-contained simulated machine: the target, its monitor (when
-// any), the RSP debug stub, a private MetricsRegistry and an optional
-// FlightRecorder — everything harness::Platform used to wire inline, pulled
-// out so a fleet can own M of them with zero shared mutable state.
+// any), the RSP debug stub, a private MetricsRegistry and optional flight
+// recorder / flight loop. Experiments, examples and tests run one directly;
+// a fleet owns M of them with zero shared mutable state.
 //
 // Ownership rule (DESIGN.md §10): every pointer a MachineUnit hands out
 // points into state the unit itself owns. Two units never share an object,
@@ -51,11 +51,16 @@ struct UnitOptions {
 
 class MachineUnit {
  public:
-  MachineUnit(UnitKind kind, const UnitOptions& opts, int id = 0);
+  explicit MachineUnit(UnitKind kind, const UnitOptions& opts = {},
+                       int id = 0);
 
   /// Loads the guest, writes the run configuration, installs the monitor
   /// (when any) and wires the NIC to the sink. Must be called exactly once
-  /// before running.
+  /// before running. Two environment hooks arm observers on monitor-carrying
+  /// units here: VDBG_FLIGHT_DIR (CI post-mortem bundles) arms a flight
+  /// recorder writing into that directory, and VDBG_FLIGHT_LOOP (any
+  /// non-empty value; a decimal number overrides the checkpoint interval)
+  /// arms the flight loop.
   void prepare(const guest::RunConfig& rc);
   bool prepared() const { return prepared_; }
 
@@ -92,9 +97,9 @@ class MachineUnit {
 
   /// Arms a FlightRecorder writing into `dir` (creates the tracer and the
   /// recorder on first call; later calls return the existing one). Used by
-  /// the harness VDBG_FLIGHT_DIR hook and by the fleet health monitor when
-  /// it quarantines a sick machine. Returns nullptr when the unit has no
-  /// monitor.
+  /// the VDBG_FLIGHT_DIR hook in prepare() and by the fleet health monitor
+  /// when it quarantines a sick machine. Returns nullptr when the unit has
+  /// no monitor.
   vmm::FlightRecorder* arm_flight_recorder(const std::string& dir,
                                            const std::string& file_prefix);
   vmm::FlightRecorder* flight_recorder() { return flight_.get(); }
@@ -108,6 +113,9 @@ class MachineUnit {
   vmm::FlightLoop* flight_loop() { return flight_loop_.get(); }
 
  private:
+  /// Attaches the unit's own exit tracer unless the monitor has one.
+  void ensure_tracer();
+
   // thread:init-only(written by the ctor / prepare / attach_stub before the
   // unit is handed to a worker; afterwards the owning worker reads freely)
   UnitKind kind_;       // thread:init-only(see above)
@@ -121,7 +129,7 @@ class MachineUnit {
   // init-only: arm_flight_recorder is a thread:handoff function.
   std::unique_ptr<vmm::ExitTracer> flight_tracer_;
   std::unique_ptr<vmm::FlightRecorder> flight_;
-  // Armed at init time (fleet ctor / harness prepare); the capture hook
+  // Armed at init time (fleet ctor / prepare); the capture hook
   // then runs on the owning worker. thread:init-only(see above)
   std::unique_ptr<vmm::FlightLoop> flight_loop_;
   guest::GuestImage image_;  // thread:init-only(see above)

@@ -19,8 +19,8 @@
 // the failure) and verifies the verdict by replaying the minimal timeline
 // twice and comparing replay-exact metrics snapshots bit for bit.
 //
-// Layering: this lives in src/fleet (it drives Fleet workers), and
-// vdbg::vmm::Multiverse is an alias for callers thinking in VMM terms.
+// Layering: conceptually a VMM debugging facility, this lives in src/fleet
+// because it drives Fleet workers.
 #pragma once
 
 #include <array>
@@ -207,10 +207,3 @@ class MultiverseService {
 };
 
 }  // namespace vdbg::fleet
-
-namespace vdbg::vmm {
-/// The multiverse is conceptually a VMM debugging facility; it lives in
-/// the fleet layer only because it drives fleet workers.
-using Multiverse = ::vdbg::fleet::Multiverse;
-using MultiverseService = ::vdbg::fleet::MultiverseService;
-}  // namespace vdbg::vmm

@@ -5,9 +5,9 @@
 
 namespace vdbg::harness {
 
-Measurement run_point(PlatformKind kind, double offered_mbps,
+Measurement run_point(fleet::UnitKind kind, double offered_mbps,
                       const SweepOptions& opt) {
-  Platform p(kind, opt.platform);
+  fleet::MachineUnit p(kind, opt.platform);
   guest::RunConfig rc = opt.base_run;
   rc.rate_bytes_per_tick =
       static_cast<u32>(offered_mbps * 1e6 / 8.0 / 1000.0);
@@ -45,7 +45,7 @@ Measurement run_point(PlatformKind kind, double offered_mbps,
   return m;
 }
 
-std::vector<Measurement> sweep(PlatformKind kind,
+std::vector<Measurement> sweep(fleet::UnitKind kind,
                                const std::vector<double>& offered_mbps,
                                const SweepOptions& opt) {
   std::vector<Measurement> out;
@@ -54,7 +54,7 @@ std::vector<Measurement> sweep(PlatformKind kind,
   return out;
 }
 
-Measurement saturation(PlatformKind kind, const SweepOptions& opt,
+Measurement saturation(fleet::UnitKind kind, const SweepOptions& opt,
                        double offered_mbps) {
   return run_point(kind, offered_mbps, opt);
 }

@@ -5,13 +5,13 @@
 #include <optional>
 #include <vector>
 
+#include "fleet/machine_unit.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
 
 namespace vdbg::harness {
 
 struct Measurement {
-  PlatformKind platform{};
+  fleet::UnitKind platform{};
   double offered_mbps = 0.0;
   double achieved_mbps = 0.0;  // sink goodput over the measurement window
   double cpu_load = 0.0;       // busy fraction over the window
@@ -31,21 +31,21 @@ struct SweepOptions {
   double warmup_seconds = 0.15;
   double measure_seconds = 0.05;
   guest::RunConfig base_run{};  // rate is overridden per point
-  PlatformOptions platform{};
+  fleet::UnitOptions platform{};
 };
 
 /// Boots a fresh platform instance and measures one operating point.
-Measurement run_point(PlatformKind kind, double offered_mbps,
+Measurement run_point(fleet::UnitKind kind, double offered_mbps,
                       const SweepOptions& opt);
 
 /// One row per offered rate.
-std::vector<Measurement> sweep(PlatformKind kind,
+std::vector<Measurement> sweep(fleet::UnitKind kind,
                                const std::vector<double>& offered_mbps,
                                const SweepOptions& opt);
 
 /// Maximum sustainable goodput: offer far more than the platform can carry
 /// and report what actually gets through (CPU-saturated throughput).
-Measurement saturation(PlatformKind kind, const SweepOptions& opt,
+Measurement saturation(fleet::UnitKind kind, const SweepOptions& opt,
                        double offered_mbps = 2000.0);
 
 }  // namespace vdbg::harness

@@ -5,6 +5,15 @@
 
 namespace vdbg::harness {
 
+std::string_view platform_name(fleet::UnitKind k) {
+  switch (k) {
+    case fleet::UnitKind::kNative: return "real-hardware";
+    case fleet::UnitKind::kLvmm: return "lvmm";
+    case fleet::UnitKind::kHosted: return "vmware-ws4-like";
+  }
+  return "?";
+}
+
 void print_table(std::ostream& os, const std::vector<Measurement>& rows) {
   os << std::left << std::setw(18) << "platform" << std::right
      << std::setw(10) << "offered" << std::setw(10) << "achieved"

@@ -92,11 +92,15 @@ class Machine final : public Clock {
   /// loop). Each fires between CPU slices at the first opportunity
   /// at-or-after every multiple of `every` retired instructions. Anchored
   /// at absolute multiples, so a restored run re-fires at exactly the
-  /// boundaries the original run used; when several hooks are due at one
-  /// boundary they fire in registration order. Returns an id for
-  /// remove_instr_hook(). `every` must be nonzero.
+  /// boundaries the original run used (strictly after the restored
+  /// position). When several hooks are due at one boundary, every kCharge
+  /// hook (it may bill simulated cycles) fires before any kObserve hook
+  /// (it only captures), then registration order: a capture on a shared
+  /// boundary always contains that boundary's charges, whatever the arming
+  /// order. Returns an id for remove_instr_hook(). `every` must be nonzero.
   using InstrHook = std::function<void(u64 icount)>;
-  int add_instr_hook(u64 every, InstrHook hook);
+  enum class HookPhase : u8 { kCharge, kObserve };
+  int add_instr_hook(u64 every, InstrHook hook, HookPhase phase);
   void remove_instr_hook(int id);
 
   /// Registers every component's counters with a metrics registry
@@ -171,6 +175,7 @@ class Machine final : public Clock {
     int id = 0;
     u64 every = 0;
     u64 next = ~u64{0};  // next firing boundary (absolute icount)
+    HookPhase phase = HookPhase::kObserve;
     InstrHook fn;
   };
   std::vector<HookSlot> instr_hooks_;  // snap:skip(host callback wiring)

@@ -4,47 +4,13 @@
 
 namespace vdbg::vmm {
 
-FlightLoop::FlightLoop(Lvmm& mon, Config cfg)
-    : mon_(mon), cfg_(cfg), series_(cfg.series_ring) {}
-
-FlightLoop::~FlightLoop() { disarm(); }
-
-u64 FlightLoop::icount() const {
-  return machine().cpu().stats().instructions;
-}
-
 void FlightLoop::arm() {
-  if (armed_) return;
-  armed_ = true;
-  hook_id_ = machine().add_instr_hook(cfg_.interval,
-                                      [this](u64 ic) { on_boundary(ic); });
+  if (armed()) return;
+  history_.arm(cfg_.interval, hw::Machine::HookPhase::kObserve,
+               [this](u64 ic) { on_boundary(ic); });
   if (cfg_.profile_interval != 0) {
     machine().cpu().profiler().configure(cfg_.profile_interval, icount());
   }
-}
-
-void FlightLoop::disarm() {
-  if (!armed_) return;
-  armed_ = false;
-  machine().remove_instr_hook(hook_id_);
-  hook_id_ = 0;
-}
-
-TimeTravel::Checkpoint FlightLoop::capture(u64 ic) const {
-  TimeTravel::Checkpoint cp;
-  cp.icount = ic;
-  cp.cycles = machine().now();
-  SnapshotWriter w;
-  // Always delta: the ring holds several captures of one steadily-mutating
-  // machine, the exact workload COW sharing exists for. No simulated-cycle
-  // charge — the flight loop is an observer, not a debugger feature the
-  // guest pays for.
-  cp.mem = machine().mem().capture_cow();
-  machine().save(w, /*external_mem=*/true);
-  mon_.save(w);
-  cp.bytes = w.finish();
-  cp.stored_bytes = cp.bytes.size() + cp.mem.retained_bytes();
-  return cp;
 }
 
 void FlightLoop::on_boundary(u64 ic) {
@@ -52,13 +18,14 @@ void FlightLoop::on_boundary(u64 ic) {
   // A verify replay re-crosses boundaries already in the ring; the state
   // there is bit-identical by determinism, so skip the re-capture (and the
   // duplicate series point).
-  if (!ring_.empty() && ic <= ring_.back().cp.icount) return;
+  const auto& ring = history_.ring();
+  if (!ring.empty() && ic <= ring.back().icount) return;
 
-  Entry e;
-  e.cp = capture(ic);
+  // Always delta: the ring holds several captures of one steadily-mutating
+  // machine, the exact workload COW sharing exists for.
+  history_.store(history_.capture());
   const ExitTracer* tracer = mon_.tracer();
-  e.trace_cursor = tracer ? tracer->recorded() : 0;
-  ring_.push_back(std::move(e));
+  trace_cursors_.push_back(tracer ? tracer->recorded() : 0);
   ++stats_.checkpoints;
 
   SeriesRing::Point pt;
@@ -72,33 +39,32 @@ void FlightLoop::on_boundary(u64 ic) {
 }
 
 void FlightLoop::evict() {
-  while (ring_.size() > cfg_.ring) {
-    ring_.pop_front();
-    ++stats_.evictions;
-  }
   // Keep the checkpoint and trace windows aligned: once the tracer has
   // overwritten part of a checkpoint's tail, that checkpoint can no longer
   // anchor a bit-exact replay window, so it goes too.
   const ExitTracer* tracer = mon_.tracer();
-  if (tracer == nullptr) return;
-  while (ring_.size() > 1 &&
-         tracer->recorded() - ring_.front().trace_cursor >
-             tracer->capacity()) {
-    ring_.pop_front();
+  auto overwritten = [&] {
+    return tracer != nullptr && trace_cursors_.size() > 1 &&
+           tracer->recorded() - trace_cursors_.front() > tracer->capacity();
+  };
+  while (trace_cursors_.size() > cfg_.ring || overwritten()) {
+    history_.evict_oldest();
+    trace_cursors_.pop_front();
     ++stats_.evictions;
   }
 }
 
 FlightLoop::Window FlightLoop::window() const {
   Window w;
-  if (ring_.empty()) return w;
-  w.begin_icount = ring_.front().cp.icount;
-  w.begin_cycles = ring_.front().cp.cycles;
+  const auto& ring = history_.ring();
+  if (ring.empty()) return w;
+  w.begin_icount = ring.front().icount;
+  w.begin_cycles = ring.front().cycles;
   w.end_icount = icount();
   w.end_cycles = machine().now();
-  w.checkpoints = ring_.size();
+  w.checkpoints = ring.size();
   if (const ExitTracer* tracer = mon_.tracer()) {
-    const u64 since = tracer->recorded() - ring_.front().trace_cursor;
+    const u64 since = tracer->recorded() - trace_cursors_.front();
     w.trace_events = static_cast<std::size_t>(
         std::min<u64>(since, tracer->capacity()));
   }
@@ -106,22 +72,8 @@ FlightLoop::Window FlightLoop::window() const {
 }
 
 u64 FlightLoop::replayable_instructions() const {
-  if (ring_.empty()) return 0;
-  return icount() - ring_.front().cp.icount;
-}
-
-hw::Machine::StopReason FlightLoop::replay_to(u64 target) {
-  ++stats_.replays;
-  for (;;) {
-    const auto r = machine().run_to_instruction(target, cfg_.replay_budget);
-    if (r == hw::Machine::StopReason::kGuestExit) {
-      // The guest's diag-port exit re-fires during replay; the original
-      // timeline continued past it, so clear the latch and keep going.
-      machine().clear_guest_exit();
-      continue;
-    }
-    return r;
-  }
+  const auto& ring = history_.ring();
+  return ring.empty() ? 0 : icount() - ring.front().icount;
 }
 
 bool FlightLoop::verify_window(std::string* error) {
@@ -131,13 +83,12 @@ bool FlightLoop::verify_window(std::string* error) {
     return false;
   };
   ++stats_.verifies;
-  if (ring_.empty()) return fail("no checkpoints in the ring");
+  if (trace_cursors_.empty()) return fail("no checkpoints in the ring");
   const ExitTracer* tracer = mon_.tracer();
   if (tracer == nullptr) return fail("no tracer attached");
 
-  const Entry& oldest = ring_.front();
   const u64 origin = icount();
-  const u64 have = tracer->recorded() - oldest.trace_cursor;
+  const u64 have = tracer->recorded() - trace_cursors_.front();
   // Events beyond the tracer's capacity were overwritten since the last
   // capture boundary (evict() keeps that gap to at most one partial
   // interval); the element-wise proof covers the surviving tail, while the
@@ -147,15 +98,11 @@ bool FlightLoop::verify_window(std::string* error) {
   const auto recorded_tail = tracer->tail(cmp);
   const u64 recorded_before = tracer->recorded();
 
-  if (!TimeTravel::restore_checkpoint_into(machine(), &mon_, oldest.cp)) {
+  if (!history_.restore(history_.ring().front())) {
     return fail("checkpoint restore failed");
   }
-  // Replayed device output must not be delivered to the host twice.
-  machine().uart().set_tx_muted(true);
-  machine().nic().set_wire_muted(true);
-  const auto r = replay_to(origin);
-  machine().uart().set_tx_muted(false);
-  machine().nic().set_wire_muted(false);
+  ++stats_.replays;
+  const auto r = history_.replay_to(origin);
   if (icount() != origin) {
     return fail("replay stopped short at icount " + std::to_string(icount()) +
                 " (reason " + std::to_string(static_cast<int>(r)) + ")");
@@ -175,7 +122,7 @@ bool FlightLoop::verify_window(std::string* error) {
   // The replayed copy of the window is now the tracer's newest content;
   // re-anchor every checkpoint's cursor onto it so windows keep counting
   // from events that are actually in the ring.
-  for (Entry& e : ring_) e.trace_cursor += replayed_n;
+  for (u64& c : trace_cursors_) c += replayed_n;
   return true;
 }
 
@@ -193,7 +140,8 @@ void FlightLoop::register_metrics(MetricsRegistry& reg) {
   reg.add_counter("vmm.flight.verify_failures", &stats_.verify_failures,
                   /*replay_exact=*/false);
   reg.add_gauge(
-      "vmm.flight.ring_depth", [this] { return double(ring_.size()); },
+      "vmm.flight.ring_depth",
+      [this] { return double(trace_cursors_.size()); },
       /*replay_exact=*/false);
   reg.add_gauge(
       "vmm.flight.window_instructions",

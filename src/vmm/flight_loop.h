@@ -1,29 +1,17 @@
 // The flight loop: always-on bounded continuous capture for one machine.
 //
-// While armed it maintains, at zero simulated cost, a rolling replay
-// window behind the live position:
+// While armed it keeps a rolling replay window behind the live position:
+// a History ring of copy-on-write checkpoints every `interval` retired
+// instructions (vmm/history.h), the exit-trace cursor at each, a bounded
+// metrics time series (SeriesRing) sampled at the same boundaries, and
+// optionally the CPU's deterministic PC profiler. Eviction keeps the
+// checkpoint and trace windows aligned — a checkpoint whose trace tail has
+// started to be overwritten is dropped — so verify_window() can prove on
+// demand that restore + re-execution reproduces the recorded tail.
 //
-//   - a ring of copy-on-write delta checkpoints taken every `interval`
-//     retired instructions (same stream format as TimeTravel checkpoints,
-//     restored through TimeTravel::restore_checkpoint_into);
-//   - the trace-ring cursor at each checkpoint, so the events recorded
-//     since the oldest checkpoint are exactly the window's trace tail;
-//   - a bounded metrics time-series (SeriesRing) sampled at the same
-//     boundaries, for qVdbg.MetricsHistory / the fleet `top` view;
-//   - optionally the CPU's deterministic PC profiler, armed at a fixed
-//     sample stride.
-//
-// Eviction keeps the checkpoint and trace windows aligned: a checkpoint
-// whose trace tail has started to be overwritten is dropped, so the
-// oldest ring entry always has its full event window available and
-// verify_window() can prove, on demand, that restore + deterministic
-// re-execution reproduces the recorded tail bit for bit.
-//
-// Everything here is host-side observation. Unlike TimeTravel, captures
-// charge no simulated cycles — the ring must be cheap enough to leave on
-// in production runs (ablation_flightloop_overhead gates < 2% per exit,
-// and the only simulated cost is the tracer's own per-event charge, which
-// is identical with the loop armed or not).
+// Captures are host-side observation and charge no simulated cycles (the
+// hook is a kObserve one, after any charging hook on the same boundary);
+// ablation_flightloop_overhead gates the whole stack at < 2% per exit.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +19,7 @@
 #include <string>
 
 #include "common/series.h"
-#include "vmm/time_travel.h"
+#include "vmm/history.h"
 
 namespace vdbg::vmm {
 
@@ -48,8 +36,6 @@ class FlightLoop {
     /// PC-profiler sample stride armed alongside the ring (0 leaves the
     /// profiler untouched).
     u64 profile_interval = 10'000;
-    /// Simulated-cycle budget for one verify replay pass.
-    Cycles replay_budget = 4'000'000'000ULL;
   };
 
   struct Window {
@@ -71,16 +57,16 @@ class FlightLoop {
     u64 verify_failures = 0;
   };
 
-  FlightLoop(Lvmm& mon, Config cfg);
+  FlightLoop(Lvmm& mon, Config cfg)
+      : mon_(mon), cfg_(cfg), history_(mon), series_(cfg.series_ring) {}
   explicit FlightLoop(Lvmm& mon) : FlightLoop(mon, Config()) {}
-  ~FlightLoop();
 
   /// Installs the periodic capture hook and (when configured) arms the PC
   /// profiler. The monitor's tracer should already be attached — the
   /// window's trace tail is whatever the tracer records.
   void arm();
-  void disarm();
-  bool armed() const { return armed_; }
+  void disarm() { history_.disarm(); }
+  bool armed() const { return history_.armed(); }
 
   /// Health quarantine: a frozen loop stops capturing (and evicting), so
   /// the window around the incident is preserved exactly as it was.
@@ -115,29 +101,21 @@ class FlightLoop {
   void register_metrics(MetricsRegistry& reg);
 
  private:
-  struct Entry {
-    TimeTravel::Checkpoint cp;
-    u64 trace_cursor = 0;  // tracer->recorded() at capture time
-  };
-
   hw::Machine& machine() const { return mon_.machine(); }
-  u64 icount() const;
+  u64 icount() const { return machine().cpu().stats().instructions; }
   void on_boundary(u64 ic);
-  TimeTravel::Checkpoint capture(u64 ic) const;
   void evict();
-  /// Forward re-execution to `target`, clearing guest-exit latches that
-  /// re-fire during replay.
-  hw::Machine::StopReason replay_to(u64 target);
 
   Lvmm& mon_;
   Config cfg_;
-  std::deque<Entry> ring_;  // oldest first
+  History history_;
+  /// Tracer position (ExitTracer::recorded()) at each ring checkpoint,
+  /// aligned with history_.ring().
+  std::deque<u64> trace_cursors_;
   SeriesRing series_;
   const MetricsRegistry* metrics_ = nullptr;
   Stats stats_;
-  bool armed_ = false;
   bool frozen_ = false;
-  int hook_id_ = 0;
 };
 
 }  // namespace vdbg::vmm

@@ -59,8 +59,13 @@ void DebugStub::on_guest_stop(StopReason reason) {
       return;
     case StopReason::kStep:
       if (step_over_) {
-        // Transparent re-patch after stepping over a breakpoint site.
-        insert_breakpoint(*step_over_);
+        // Transparent re-patch after stepping over a breakpoint site: raw
+        // and charge-free, as TimeTravel re-patches a replayed step-over,
+        // so the window after the resume replays cycle-identically.
+        if (breakpoints_.count(*step_over_)) {
+          mon_.guest_poke_raw(*step_over_,
+                              static_cast<u8>(cpu::Opcode::kBrk));
+        }
         step_over_.reset();
         if (!user_stepping_) {
           // Pure resume: keep going without telling the debugger.
@@ -214,10 +219,10 @@ void DebugStub::execute(const std::string& p) {
       send_packet(cmd_write_memory(args));
       return;
     case 'c':
-      do_continue();
+      resume(/*step=*/false);
       return;
     case 's':
-      do_step();
+      resume(/*step=*/true);
       return;
     case 'b':
       if (args == "c" || args == "s") {
@@ -245,44 +250,26 @@ void DebugStub::execute(const std::string& p) {
   }
 }
 
-void DebugStub::do_continue() {
+void DebugStub::resume(bool step) {
   if (!stopped_) return;  // spurious
   stopped_ = false;
+  user_stepping_ = step;
   const VAddr pc = mon_.machine().cpu().state().pc;
+  bool step_over = false;
   if (!mon_.vcpu().crashed && breakpoints_.count(pc)) {
-    // Step over the patched site, then re-arm it and keep running.
+    // Step over the patched site; the step's completion re-patches it.
     const u8 orig = breakpoints_[pc];
     mon_.guest_write(pc, {&orig, 1});
-    breakpoints_.erase(pc);
     step_over_ = pc;
-    mon_.arm_single_step();
+    step_over = true;
   }
+  if (step || step_over) mon_.arm_single_step();
   mon_.resume_guest();
-  checkpoint_on_resume();
-}
-
-void DebugStub::checkpoint_on_resume() {
   // Anchor a checkpoint at every interactive resume: the stretch from here
   // to the next stop then contains no debugger wire traffic, so replaying
   // it reproduces the original timeline exactly — which is what makes
   // reverse execution from the next stop land faithfully.
   if (tt_ && tt_->enabled()) tt_->checkpoint_now();
-}
-
-void DebugStub::do_step() {
-  if (!stopped_) return;
-  stopped_ = false;
-  user_stepping_ = true;
-  const VAddr pc = mon_.machine().cpu().state().pc;
-  if (!mon_.vcpu().crashed && breakpoints_.count(pc)) {
-    const u8 orig = breakpoints_[pc];
-    mon_.guest_write(pc, {&orig, 1});
-    breakpoints_.erase(pc);
-    step_over_ = pc;
-  }
-  mon_.arm_single_step();
-  mon_.resume_guest();
-  checkpoint_on_resume();
 }
 
 void DebugStub::do_reverse(bool is_continue) {
@@ -302,11 +289,13 @@ void DebugStub::do_reverse(bool is_continue) {
   // step in flight is abandoned — including one the landing image itself
   // carries: the checkpoint anchored at an 's' (or at a resume that steps
   // over a breakpoint) was captured with the trap flag already armed, and
-  // left armed, the next resume would deliver a #DB nobody wants.
+  // left armed, the next resume would deliver a #DB nobody wants. With the
+  // step gone, a site it was stepping over is patched again.
   stopped_ = true;
   user_stepping_ = false;
   step_over_.reset();
   mon_.disarm_single_step();
+  reapply_patches();
   switch (r.reason) {
     case StopReason::kWatchpoint: {
       char buf[32];

@@ -125,12 +125,11 @@ class DebugStub final : public DebugDelegate {
   std::string cmd_write_memory(const std::string& args);
   std::string cmd_breakpoint(const std::string& args, bool insert);
   std::string cmd_query(const std::string& q);
-  void do_continue();
-  void do_step();
+  /// 'c' / 's': resumes the guest (stepping over a patched breakpoint at
+  /// pc) and anchors a time-travel checkpoint, so the window to the next
+  /// stop is free of debugger wire traffic.
+  void resume(bool step);
   void do_reverse(bool is_continue);
-  /// Anchors a time-travel checkpoint at an interactive resume so the
-  /// window to the next stop is free of debugger wire traffic.
-  void checkpoint_on_resume();
   void report_stop(const std::string& reply);
 
   bool insert_breakpoint(VAddr addr);

@@ -136,12 +136,17 @@ bool DebugStub::insert_breakpoint(VAddr addr) {
 
 void DebugStub::reapply_patches() {
   const u8 brk = static_cast<u8>(cpu::Opcode::kBrk);
+  // An image captured mid step-over (trap flag armed at an un-patched
+  // site, as the checkpoint anchored at such a resume is) keeps that site
+  // un-patched: the step re-patches it when it completes.
+  const auto& st = mon_.machine().cpu().state();
   for (const auto& [addr, orig] : patch_history_) {
     u8 cur = 0;
     if (!mon_.guest_peek_raw(addr, cur)) continue;
     if (breakpoints_.count(addr)) {
       // Active breakpoint whose patch predates the restored image.
-      if (cur != brk) mon_.guest_poke_raw(addr, brk);
+      const bool stepping_over = st.trap_flag() && st.pc == addr;
+      if (cur != brk && !stepping_over) mon_.guest_poke_raw(addr, brk);
     } else {
       // Removed breakpoint resurrected by the restore: un-patch it.
       if (cur == brk) mon_.guest_poke_raw(addr, orig);

@@ -1,31 +1,14 @@
 #include "vmm/time_travel.h"
 
-#include <algorithm>
-
 #include "cpu/isa.h"
 
 namespace vdbg::vmm {
 
-TimeTravel::TimeTravel(Lvmm& mon, Config cfg) : mon_(mon), cfg_(cfg) {}
-
-TimeTravel::~TimeTravel() { disable(); }
-
-u64 TimeTravel::icount() const {
-  return machine().cpu().stats().instructions;
-}
-
 void TimeTravel::enable() {
-  if (enabled_) return;
-  enabled_ = true;
-  hook_id_ = machine().add_instr_hook(cfg_.interval,
-                                      [this](u64 ic) { on_boundary(ic); });
-}
-
-void TimeTravel::disable() {
-  if (!enabled_) return;
-  enabled_ = false;
-  machine().remove_instr_hook(hook_id_);
-  hook_id_ = 0;
+  // kCharge: the hook bills simulated cycles, so it fires before any
+  // observer's capture on a shared boundary (see vmm/history.h).
+  history_.arm(cfg_.interval, hw::Machine::HookPhase::kCharge,
+               [this](u64) { on_boundary(); });
 }
 
 // --------------------------------------------------------------------------
@@ -42,98 +25,45 @@ void TimeTravel::charge_checkpoint() {
   stats_.checkpoint_charged_cycles += cost;
 }
 
-std::vector<u8> TimeTravel::serialize() const {
-  SnapshotWriter w;
-  machine().save(w);
-  mon_.save(w);
-  return w.finish();
-}
-
-TimeTravel::Checkpoint TimeTravel::make_checkpoint(u64 ic) {
-  Checkpoint cp;
-  cp.icount = ic;
-  cp.cycles = machine().now();
-  SnapshotWriter w;
-  if (cfg_.cow_delta) {
-    // Share the current memory image copy-on-write; the stream then only
-    // carries device/CPU/monitor state plus an external-contents marker.
-    cp.mem = machine().mem().capture_cow();
-    machine().save(w, /*external_mem=*/true);
-  } else {
-    machine().save(w);
-  }
-  mon_.save(w);
-  cp.bytes = w.finish();
-  cp.stored_bytes = cp.bytes.size() + cp.mem.retained_bytes();
-  return cp;
-}
-
-void TimeTravel::store_checkpoint(Checkpoint cp) {
-  auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), cp.icount,
-      [](const Checkpoint& c, u64 v) { return c.icount < v; });
-  if (it != ring_.end() && it->icount == cp.icount) {
-    // A replay pass re-reached a boundary already in the ring; the state
-    // is bit-identical by determinism, so just refresh it.
-    *it = std::move(cp);
-    return;
-  }
-  auto inserted = ring_.insert(it, std::move(cp));
-  ++stats_.checkpoints;
-  stats_.checkpoint_bytes += inserted->stored_bytes;
-  stats_.cow_fresh_pages += inserted->mem.fresh_pages();
-  while (ring_.size() > cfg_.ring) ring_.pop_front();
-}
-
-void TimeTravel::on_boundary(u64 boundary_icount) {
-  // Charge before serialising so the snapshot captures the post-charge
-  // state: restoring a checkpoint then resumes *after* that boundary's
-  // checkpoint work, and the next replayed boundary re-charges its own.
-  // The charge stays a function of *resident* pages even in delta mode —
-  // charging for fresh pages would make the cost depend on host-side
-  // capture history (e.g. a resume-anchored checkpoint resets freshness)
-  // and break replay cycle-identity.
+void TimeTravel::on_boundary() {
+  // Charge before capturing so the snapshot holds the post-charge state:
+  // restoring a checkpoint then resumes *after* that boundary's checkpoint
+  // work, and the next replayed boundary re-charges its own. The charge
+  // stays a function of *resident* pages even in delta mode — charging for
+  // fresh pages would make the cost depend on host-side capture history
+  // (e.g. a resume-anchored checkpoint resets freshness) and break replay
+  // cycle-identity.
   charge_checkpoint();
-  store_checkpoint(make_checkpoint(boundary_icount));
+  Checkpoint cp = history_.capture(cfg_.cow_delta);
+  const u64 bytes = cp.stored_bytes;
+  const u64 fresh = cp.mem.fresh_pages();
+  if (!history_.store(std::move(cp))) return;  // refreshed by a replay
+  ++stats_.checkpoints;
+  stats_.checkpoint_bytes += bytes;
+  stats_.cow_fresh_pages += fresh;
+  while (history_.ring().size() > cfg_.ring) history_.evict_oldest();
 }
 
 bool TimeTravel::checkpoint_now() {
-  charge_checkpoint();
-  Checkpoint cp = make_checkpoint(icount());
-  if (cp.bytes.empty()) return false;
-  store_checkpoint(std::move(cp));
-  return true;
-}
-
-const TimeTravel::Checkpoint* TimeTravel::newest_at_or_below(u64 ic) const {
-  const Checkpoint* best = nullptr;
-  for (const Checkpoint& c : ring_) {
-    if (c.icount <= ic) best = &c;
-  }
-  return best;
+  on_boundary();
+  return true;  // serialisation cannot fail
 }
 
 // --------------------------------------------------------------------------
-// Snapshot save/load (qVdbg.Snapshot)
+// Snapshot save/load (qVdbg.Snapshot) and restore
 // --------------------------------------------------------------------------
 
-std::vector<u8> TimeTravel::save_state() const { return serialize(); }
+std::vector<u8> TimeTravel::save_state() const {
+  return history_.capture(/*cow_delta=*/false).bytes;
+}
 
 bool TimeTravel::load_state(const std::vector<u8>& bytes) {
   const bool was_frozen = mon_.guest_frozen();
-  if (!restore_bytes(bytes)) return false;
+  if (!restore_state(bytes, nullptr)) return false;
   if (was_frozen && !mon_.guest_frozen()) {
     freeze_quietly(StopReason::kStep);
   }
   return true;
-}
-
-bool TimeTravel::restore_bytes(const std::vector<u8>& bytes) {
-  return restore_state(bytes, nullptr);
-}
-
-bool TimeTravel::restore_checkpoint(const Checkpoint& cp) {
-  return restore_state(cp.bytes, cp.mem.empty() ? nullptr : &cp.mem);
 }
 
 bool TimeTravel::restore_state(const std::vector<u8>& bytes,
@@ -142,14 +72,7 @@ bool TimeTravel::restore_state(const std::vector<u8>& bytes,
   // the set as of checkpoint time. Capture the desired set first, restore,
   // then reconcile — a no-op (no writes, no charges) when they match.
   const auto desired = mon_.watchpoint_list();
-  SnapshotReader r(bytes);
-  if (!r.ok()) return false;
-  // Adopt the COW image before walking the stream: the stream's PhysMem
-  // section is an external-contents sentinel, and the monitor's restore
-  // may consult guest memory.
-  if (mem && !machine().mem().adopt_cow(*mem)) return false;
-  if (!machine().restore(r)) return false;
-  if (!mon_.restore(r)) return false;
+  if (!History::restore(machine(), &mon_, bytes, mem)) return false;
   ++stats_.restores;
   const auto restored = mon_.watchpoint_list();
   if (restored != desired) {
@@ -167,44 +90,50 @@ bool TimeTravel::restore_state(const std::vector<u8>& bytes,
 void TimeTravel::begin_replay() {
   prev_delegate_ = mon_.debug_delegate();
   mon_.set_debug_delegate(this);
-  machine().uart().set_tx_muted(true);
-  machine().nic().set_wire_muted(true);
   replaying_ = true;
   replay_failed_ = false;
-  step_over_.reset();
-  held_ = false;
 }
 
-void TimeTravel::end_replay() {
+TimeTravel::ReverseStop TimeTravel::end_replay(ReverseStop out) {
+  if (out.outcome == ReverseOutcome::kError && !mon_.guest_frozen()) {
+    freeze_quietly(StopReason::kStep);  // containment: never leave it running
+    out.icount = icount();
+  }
   mon_.set_debug_delegate(prev_delegate_);
   prev_delegate_ = nullptr;
-  machine().uart().set_tx_muted(false);
-  machine().nic().set_wire_muted(false);
   replaying_ = false;
   mode_ = Mode::kIdle;
+  return out;
 }
 
-hw::Machine::StopReason TimeTravel::replay_to(u64 target) {
+bool TimeTravel::replay_pass(const Checkpoint& cp, Mode mode, u64 end) {
+  mode_ = mode;
+  pass_end_ = end;
+  last_hit_.reset();
+  held_ = false;
+  step_over_.reset();
+  if (!restore_state(cp.bytes, cp.cow())) return false;
+  // A checkpoint anchored at a resume that steps over a breakpoint holds
+  // the site un-patched with the trap flag armed, and post_restore leaves
+  // it so. The recorded run executed the original instruction there and
+  // re-patched when the step completed; replay does the same.
+  const auto& st = machine().cpu().state();
+  u8 cur = 0;
+  if (st.trap_flag() && patch_lookup_ && patch_lookup_(st.pc) &&
+      mon_.guest_peek_raw(st.pc, cur) &&
+      cur != static_cast<u8>(cpu::Opcode::kBrk)) {
+    step_over_ = st.pc;
+  }
   ++stats_.replay_passes;
   const u64 before = icount();
-  hw::Machine::StopReason r;
-  for (;;) {
-    r = machine().run_to_instruction(target, cfg_.replay_budget);
-    if (r == hw::Machine::StopReason::kGuestExit) {
-      // The guest's diag-port exit re-fires during replay; the original
-      // timeline continued past it, so clear the latch and keep going.
-      machine().clear_guest_exit();
-      continue;
-    }
-    break;
-  }
+  const auto r = history_.replay_to(end);
   stats_.replayed_instructions += icount() - before;
   if (r == hw::Machine::StopReason::kBudget ||
       r == hw::Machine::StopReason::kShutdown ||
       r == hw::Machine::StopReason::kIdleDeadlock) {
     replay_failed_ = true;
   }
-  return r;
+  return true;
 }
 
 void TimeTravel::hold(StopReason reason) {
@@ -244,8 +173,7 @@ void TimeTravel::on_uart_activity() {
 }
 
 void TimeTravel::on_guest_stop(StopReason reason) {
-  if (suppress_stop_) return;
-  if (!replaying_) return;  // defensive: not our delegate window
+  if (suppress_stop_ || !replaying_) return;
   const u64 ic = icount();
 
   // Completion of our own transparent step-over: re-patch, keep going.
@@ -270,27 +198,15 @@ void TimeTravel::on_guest_stop(StopReason reason) {
     // never hits — they are artifacts of a trap flag captured by a
     // checkpoint taken mid-single-step.
     const bool in_window =
-        ic < scan_end_ || (scan_inclusive_ && ic == scan_end_);
-    const bool recordable = reason == StopReason::kBreakpoint ||
-                            reason == StopReason::kWatchpoint ||
-                            reason == StopReason::kCrash;
-    if (in_window && recordable) hits_.push_back({ic, reason});
-    if (ic < scan_end_ && reason != StopReason::kCrash) {
-      transparent_resume(reason);
-    } else {
-      hold(reason);  // reached the window end (or an unpassable crash)
-    }
-    return;
+        ic < pass_end_ || (scan_inclusive_ && ic == pass_end_);
+    if (in_window && reason != StopReason::kStep) last_hit_ = ic;
   }
-  if (mode_ == Mode::kLand) {
-    if (ic < land_target_ && reason != StopReason::kCrash) {
-      transparent_resume(reason);
-    } else {
-      hold(reason);
-    }
-    return;
+  // Pass through every stop short of the pass's end; a crash is unpassable.
+  if (mode_ != Mode::kIdle && ic < pass_end_ && reason != StopReason::kCrash) {
+    transparent_resume(reason);
+  } else {
+    hold(reason);
   }
-  hold(reason);
 }
 
 void TimeTravel::transparent_resume(StopReason reason) {
@@ -309,128 +225,72 @@ void TimeTravel::transparent_resume(StopReason reason) {
   mon_.resume_guest();
 }
 
-bool TimeTravel::restore_checkpoint_into(hw::Machine& m, Lvmm* mon,
-                                         const Checkpoint& cp) {
-  SnapshotReader r(cp.bytes);
-  if (!r.ok()) return false;
-  if (!cp.mem.empty() && !m.mem().adopt_cow(cp.mem)) return false;
-  if (!m.restore(r)) return false;
-  if (mon && !mon->restore(r)) return false;
-  return true;
-}
-
 // --------------------------------------------------------------------------
 // Reverse execution
 // --------------------------------------------------------------------------
 
 TimeTravel::ReverseStop TimeTravel::reverse_stepi() {
-  ReverseStop out;
   const u64 origin = icount();
-  if (origin == 0) {
-    out.outcome = ReverseOutcome::kNoHistory;
-    out.icount = origin;
-    return out;
-  }
-  const u64 target = origin - 1;
-  const Checkpoint* cp = newest_at_or_below(target);
-  if (!cp) {
-    out.outcome = ReverseOutcome::kNoHistory;
-    out.icount = origin;
-    return out;
-  }
+  const Checkpoint* cp =
+      origin == 0 ? nullptr : history_.newest_at_or_below(origin - 1);
+  if (!cp) return {ReverseOutcome::kNoHistory, StopReason::kStep, origin};
   const Checkpoint snap = *cp;  // ring may mutate during replay
 
   begin_replay();
-  mode_ = Mode::kLand;
-  land_target_ = target;
-  if (restore_checkpoint(snap)) {
-    const auto r = replay_to(target);
+  ReverseStop out;
+  if (replay_pass(snap, Mode::kLand, origin - 1)) {
     if (held_) {
       out = {ReverseOutcome::kStopped, held_reason_, icount()};
-    } else if (r == hw::Machine::StopReason::kInstrLimit && !replay_failed_) {
+    } else if (icount() == origin - 1 && !replay_failed_) {
       freeze_quietly(StopReason::kStep);
       out = {ReverseOutcome::kStopped, StopReason::kStep, icount()};
     }
   }
-  if (out.outcome == ReverseOutcome::kError && !mon_.guest_frozen()) {
-    freeze_quietly(StopReason::kStep);  // containment: never leave it running
-    out.icount = icount();
-  }
-  end_replay();
-  return out;
+  return end_replay(out);
 }
 
 TimeTravel::ReverseStop TimeTravel::reverse_continue() {
-  ReverseStop out;
   const u64 origin = icount();
-
   // Candidate checkpoints strictly below the origin, newest first. Copies:
   // replay passes refresh the ring underneath us.
   std::vector<Checkpoint> cands;
-  for (auto it = ring_.rbegin(); it != ring_.rend(); ++it) {
+  const auto& ring = history_.ring();
+  for (auto it = ring.rbegin(); it != ring.rend(); ++it) {
     if (it->icount < origin) cands.push_back(*it);
   }
   if (cands.empty()) {
-    out.outcome = ReverseOutcome::kNoHistory;
-    out.icount = origin;
-    return out;
+    return {ReverseOutcome::kNoHistory, StopReason::kStep, origin};
   }
 
   begin_replay();
-  bool done = false;
+  ReverseStop out;
   u64 window_end = origin;
   for (const Checkpoint& cp : cands) {
-    // Scan pass over the window up from cp: collect every hit. The first
+    // Scan pass over the window up from cp: find the last hit. The first
     // window ends at (and excludes) the origin stop; older windows end at
     // (and include) the next-newer checkpoint's boundary.
-    mode_ = Mode::kScan;
-    scan_end_ = window_end;
     scan_inclusive_ = window_end != origin;
-    hits_.clear();
-    held_ = false;
-    step_over_.reset();
-    if (!restore_checkpoint(cp)) {
-      done = true;
-      break;
+    if (!replay_pass(cp, Mode::kScan, window_end) || replay_failed_) {
+      return end_replay(out);
     }
-    replay_to(window_end);
-    if (replay_failed_) {
-      done = true;
-      break;
-    }
-    if (!hits_.empty()) {
-      // Landing pass: restore again, replay to the LAST hit and keep that
+    if (last_hit_) {
+      // Landing pass: restore again, replay to the last hit and keep that
       // stop frozen.
-      const Hit target = hits_.back();
-      mode_ = Mode::kLand;
-      land_target_ = target.icount;
-      held_ = false;
-      step_over_.reset();
-      if (restore_checkpoint(cp)) {
-        replay_to(target.icount);
-        if (held_) {
-          out = {ReverseOutcome::kStopped, held_reason_, icount()};
-        }
+      const u64 target = *last_hit_;
+      if (replay_pass(cp, Mode::kLand, target) && held_) {
+        out = {ReverseOutcome::kStopped, held_reason_, icount()};
       }
-      done = true;
-      break;
+      return end_replay(out);
     }
     window_end = cp.icount;
   }
-  if (!done) {
-    // No hit anywhere in recorded history: land on the oldest checkpoint.
-    mode_ = Mode::kIdle;
-    if (restore_checkpoint(cands.back())) {
-      freeze_quietly(StopReason::kStep);
-      out = {ReverseOutcome::kAtCheckpoint, StopReason::kStep, icount()};
-    }
-  }
-  if (out.outcome == ReverseOutcome::kError && !mon_.guest_frozen()) {
+  // No hit anywhere in recorded history: land on the oldest checkpoint.
+  mode_ = Mode::kIdle;
+  if (restore_state(cands.back().bytes, cands.back().cow())) {
     freeze_quietly(StopReason::kStep);
-    out.icount = icount();
+    out = {ReverseOutcome::kAtCheckpoint, StopReason::kStep, icount()};
   }
-  end_replay();
-  return out;
+  return end_replay(out);
 }
 
 }  // namespace vdbg::vmm

@@ -1,43 +1,25 @@
-// Time-travel debugging: periodic checkpoints plus replay.
+// Time-travel debugging: reverse execution on a checkpoint History
+// (vmm/history.h; DESIGN.md §4 "History").
 //
-// The controller snapshots the whole deterministic machine (Machine::save +
-// Lvmm::save in one checksummed stream) every `interval` retired guest
-// instructions, keeping a ring of the most recent checkpoints. Reverse
-// execution is checkpoint + re-execution: because the simulator is fully
-// deterministic, restoring a checkpoint and running forward reproduces the
-// original timeline bit for bit, so "backwards" is just "forwards from an
-// earlier save, stopping sooner".
+// Every `interval` retired instructions the controller bills a checkpoint
+// (checkpoint_base + checkpoint_per_page x resident pages, costs.h — a pure
+// function of guest state, so a replay re-charges it identically) and then
+// captures one. Reverse execution is restore + deterministic re-execution,
+// stopping sooner:
 //
-//   reverse_stepi     restore the newest checkpoint at-or-below N-1, replay
-//                     to instruction boundary N-1 — exactly one retired
-//                     guest instruction before the current stop.
-//   reverse_continue  scan pass: restore the nearest earlier checkpoint and
-//                     replay to the current position, recording every
-//                     breakpoint/watchpoint stop in the window; landing
-//                     pass: restore again and replay to the LAST recorded
-//                     hit. Windows walk to older checkpoints when empty; if
-//                     no hit exists anywhere in recorded history the guest
-//                     lands frozen on the oldest checkpoint.
+//   reverse_stepi     replay from the newest checkpoint at-or-below N-1 to
+//                     boundary N-1: exactly one retired instruction back.
+//   reverse_continue  per window, newest first: a scan pass records every
+//                     breakpoint/watchpoint hit up to the current position,
+//                     then a landing pass replays to the LAST one. With no
+//                     hit anywhere the guest lands frozen on the oldest
+//                     checkpoint.
 //
-// During replay the controller swaps itself in as the monitor's
-// DebugDelegate (transparently stepping over breakpoint patches the same
-// way the stub's `c` does) and mutes the UART/NIC host sinks so replayed
-// output is not delivered twice. Device timing, interrupts, and every cycle
-// charge are unchanged — the checkpoint charge itself
-// (checkpoint_base + checkpoint_per_page x resident pages, see costs.h) is
-// a pure function of guest state at the boundary and re-applied at the same
-// boundaries during replay, so a replayed timeline stays cycle-identical to
-// the original.
-//
-// Replay fidelity: replay cannot reproduce debugger wire traffic, so only
-// debugger-quiet windows replay bit-identically. The stub therefore anchors
-// a checkpoint at every interactive resume ('c'/'s'), which makes the
-// window from the last resume to the next stop quiet by construction —
-// reverse operations from a stop land exactly, down to the faulting pc.
-// Windows reaching further back, across earlier interactive stops, replay
-// without the original stub traffic's cycle charges and can diverge in
-// device timing (landings are then exact only in the replayed timeline's
-// own terms).
+// While replaying, the controller is the monitor's DebugDelegate and steps
+// over breakpoint patches as the stub's `c` does. Only debugger-quiet
+// windows replay bit-identically, so the stub anchors a checkpoint at every
+// interactive resume ('c'/'s'); windows reaching back across earlier stops
+// replay without that wire traffic's charges.
 #pragma once
 
 #include <cstddef>
@@ -46,7 +28,7 @@
 #include <optional>
 #include <vector>
 
-#include "vmm/lvmm.h"
+#include "vmm/history.h"
 
 namespace vdbg::vmm {
 
@@ -58,8 +40,6 @@ class TimeTravel final : public DebugDelegate {
     /// Checkpoints kept (oldest evicted). Bounds reverse reach to roughly
     /// ring x interval instructions.
     std::size_t ring = 8;
-    /// Simulated-cycle budget for one replay pass.
-    Cycles replay_budget = 4'000'000'000ULL;
     /// Delta checkpoints: memory is captured as a shared copy-on-write page
     /// table instead of being serialized into the stream, so a checkpoint
     /// only pays for pages dirtied since the previous capture. Kill switch
@@ -67,20 +47,7 @@ class TimeTravel final : public DebugDelegate {
     bool cow_delta = true;
   };
 
-  struct Checkpoint {
-    u64 icount = 0;      // retired instructions at save time
-    Cycles cycles = 0;   // simulated time at save time
-    /// Snapshot stream. In cow_delta mode the PhysMem section is an
-    /// external-contents sentinel and `mem` carries the actual pages.
-    std::vector<u8> bytes;
-    /// COW page-table capture (empty in full-stream mode). Copying a
-    /// Checkpoint retains the shared frames — cheap.
-    cpu::CowPages mem;
-    /// Marginal bytes this checkpoint keeps alive: stream size plus, in
-    /// delta mode, freshly-dirtied frames and the sparse index (frames
-    /// shared with older ring entries are not re-counted).
-    u64 stored_bytes = 0;
-  };
+  using Checkpoint = History::Checkpoint;
 
   struct Stats {
     u64 checkpoints = 0;           // snapshots stored (first save per boundary)
@@ -105,21 +72,22 @@ class TimeTravel final : public DebugDelegate {
   };
 
   explicit TimeTravel(Lvmm& mon) : TimeTravel(mon, Config()) {}
-  TimeTravel(Lvmm& mon, Config cfg);
-  ~TimeTravel() override;
+  TimeTravel(Lvmm& mon, Config cfg) : mon_(mon), cfg_(cfg), history_(mon) {}
 
   /// Installs the periodic checkpoint hook on the machine (and takes no
   /// checkpoint itself — the first fires at the next interval boundary).
   void enable();
-  void disable();
-  bool enabled() const { return enabled_; }
+  void disable() { history_.disarm(); }
+  bool enabled() const { return history_.armed(); }
   const Config& config() const { return cfg_; }
 
-  /// Takes a checkpoint at the current position (charged like a periodic
-  /// one). Returns false if serialisation failed.
+  /// Takes a checkpoint at the current position, charged like a periodic
+  /// one. Always succeeds.
   bool checkpoint_now();
-  std::size_t checkpoint_count() const { return ring_.size(); }
-  const std::deque<Checkpoint>& checkpoints() const { return ring_; }
+  std::size_t checkpoint_count() const { return history_.ring().size(); }
+  const std::deque<Checkpoint>& checkpoints() const {
+    return history_.ring();
+  }
   const Stats& stats() const { return stats_; }
 
   /// Registers vmm.tt.* counters. The controller is host-side (its stats
@@ -141,7 +109,7 @@ class TimeTravel final : public DebugDelegate {
                     &stats_.checkpoint_charged_cycles,
                     /*replay_exact=*/false);
     reg.add_gauge(
-        "vmm.tt.ring_depth", [this] { return double(ring_.size()); },
+        "vmm.tt.ring_depth", [this] { return double(checkpoint_count()); },
         /*replay_exact=*/false);
   }
 
@@ -161,7 +129,9 @@ class TimeTravel final : public DebugDelegate {
   /// monitor when non-null) — a forked timeline adopting the checkpoint's
   /// COW pages. Static so fork targets need not own a TimeTravel.
   static bool restore_checkpoint_into(hw::Machine& m, Lvmm* mon,
-                                      const Checkpoint& cp);
+                                      const Checkpoint& cp) {
+    return History::restore(m, mon, cp.bytes, cp.cow());
+  }
 
   /// Breakpoint-patch table lookup (addr -> original byte), owned by the
   /// stub. Used for transparent step-over during replay and to classify
@@ -182,31 +152,23 @@ class TimeTravel final : public DebugDelegate {
   void on_uart_activity() override;
 
  private:
-  struct Hit {
-    u64 icount = 0;
-    StopReason reason = StopReason::kStep;
-  };
   enum class Mode : u8 { kIdle, kScan, kLand };
 
   hw::Machine& machine() const { return mon_.machine(); }
-  u64 icount() const;
-  void on_boundary(u64 boundary_icount);
+  u64 icount() const { return machine().cpu().stats().instructions; }
+  /// Boundary hook: bill the checkpoint, then capture and store it.
+  void on_boundary();
   void charge_checkpoint();
-  std::vector<u8> serialize() const;
-  /// Captures the machine+monitor at the current position (delta or full
-  /// per cfg_.cow_delta) without storing it in the ring.
-  Checkpoint make_checkpoint(u64 ic);
-  void store_checkpoint(Checkpoint cp);
-  const Checkpoint* newest_at_or_below(u64 ic) const;
-  bool restore_bytes(const std::vector<u8>& bytes);
-  bool restore_checkpoint(const Checkpoint& cp);
-  /// Shared restore core: adopt `mem` (when non-null) before the stream.
+  /// History::restore plus the debugger reconciliation: the watch set is
+  /// host truth, and post_restore re-applies breakpoint patches.
   bool restore_state(const std::vector<u8>& bytes, const cpu::CowPages* mem);
   void begin_replay();
-  void end_replay();
-  /// Re-runs forward to `target` retired instructions, clearing guest-exit
-  /// latches that re-fire during replay. Returns the final stop reason.
-  hw::Machine::StopReason replay_to(u64 target);
+  /// Ends the session; an error outcome leaves the guest frozen.
+  ReverseStop end_replay(ReverseStop out);
+  /// One replay pass: restore `cp` (taking over a breakpoint step-over it
+  /// was captured in the middle of), then run forward to `end` in `mode`,
+  /// passing through every stop short of it. False when the restore fails.
+  bool replay_pass(const Checkpoint& cp, Mode mode, u64 end);
   /// Records a held stop and breaks the machine out of its run loop before
   /// the frozen-service (the stub) can run mid-replay.
   void hold(StopReason reason);
@@ -219,10 +181,8 @@ class TimeTravel final : public DebugDelegate {
 
   Lvmm& mon_;
   Config cfg_;
-  std::deque<Checkpoint> ring_;  // sorted by icount, oldest first
+  History history_;
   Stats stats_;
-  bool enabled_ = false;
-  int hook_id_ = 0;  // add_instr_hook registration while enabled
 
   PatchLookup patch_lookup_;
   std::function<void()> post_restore_;
@@ -231,10 +191,9 @@ class TimeTravel final : public DebugDelegate {
   bool replaying_ = false;
   Mode mode_ = Mode::kIdle;
   DebugDelegate* prev_delegate_ = nullptr;
-  u64 scan_end_ = 0;          // scan: record hits with icount < scan_end_
-  bool scan_inclusive_ = false;  // scan: also record a hit at == scan_end_
-  u64 land_target_ = 0;  // land: hold the first stop at-or-after this icount
-  std::vector<Hit> hits_;
+  u64 pass_end_ = 0;  // pass through stops below this icount
+  bool scan_inclusive_ = false;  // scan: also record a hit at == pass_end_
+  std::optional<u64> last_hit_;  // scan: newest hit in the window
   std::optional<VAddr> step_over_;
   bool held_ = false;
   StopReason held_reason_ = StopReason::kStep;

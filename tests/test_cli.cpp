@@ -5,9 +5,9 @@
 
 #include "common/units.h"
 #include "debug/cli.h"
+#include "fleet/machine_unit.h"
 #include "guest/layout.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
 #include "vmm/stub.h"
 #include "vmm/trace.h"
 
@@ -16,8 +16,8 @@ namespace {
 
 struct CliRig {
   CliRig() {
-    platform = std::make_unique<harness::Platform>(
-        harness::PlatformKind::kLvmm);
+    platform = std::make_unique<fleet::MachineUnit>(
+        fleet::UnitKind::kLvmm);
     platform->prepare(guest::RunConfig::for_rate_mbps(40.0));
     stub = std::make_unique<vmm::DebugStub>(*platform->monitor(),
                                             platform->machine().uart());
@@ -37,7 +37,7 @@ struct CliRig {
     return out.str();
   }
 
-  std::unique_ptr<harness::Platform> platform;
+  std::unique_ptr<fleet::MachineUnit> platform;
   std::unique_ptr<vmm::DebugStub> stub;
   std::unique_ptr<debug::RemoteDebugger> dbg;
   vmm::ExitTracer tracer;

@@ -4,25 +4,25 @@
 #include <gtest/gtest.h>
 
 #include "common/units.h"
+#include "fleet/machine_unit.h"
 #include "guest/layout.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
 
 namespace vdbg::test {
 namespace {
 
 using guest::RunConfig;
-using harness::Platform;
-using harness::PlatformKind;
+using fleet::MachineUnit;
+using fleet::UnitKind;
 
-double measure_rate(Platform& p, double seconds) {
+double measure_rate(MachineUnit& p, double seconds) {
   p.sink().begin_window(p.machine().now());
   p.machine().run_for(seconds_to_cycles(seconds));
   return p.sink().window_goodput_mbps(p.machine().now());
 }
 
-void rate_change_scenario(PlatformKind kind) {
-  Platform p(kind);
+void rate_change_scenario(UnitKind kind) {
+  MachineUnit p(kind);
   p.prepare(RunConfig::for_rate_mbps(30.0));
   p.machine().run_for(seconds_to_cycles(0.06));  // boot + settle
 
@@ -45,15 +45,15 @@ void rate_change_scenario(PlatformKind kind) {
 }
 
 TEST(ControlChannel, RateChangeTakesEffectNative) {
-  rate_change_scenario(PlatformKind::kNative);
+  rate_change_scenario(UnitKind::kNative);
 }
 
 TEST(ControlChannel, RateChangeTakesEffectUnderLvmm) {
-  rate_change_scenario(PlatformKind::kLvmm);
+  rate_change_scenario(UnitKind::kLvmm);
 }
 
 TEST(ControlChannel, RateChangeTakesEffectUnderHostedVmm) {
-  Platform p(PlatformKind::kHosted);
+  MachineUnit p(UnitKind::kHosted);
   p.prepare(RunConfig::for_rate_mbps(10.0));
   p.machine().run_for(seconds_to_cycles(0.15));
   const auto frame = guest::build_control_frame(guest::kCtrlCmdSetRate, 2500);
@@ -65,7 +65,7 @@ TEST(ControlChannel, RateChangeTakesEffectUnderHostedVmm) {
 }
 
 TEST(ControlChannel, MarkCommandRecordsWithoutSideEffects) {
-  Platform p(PlatformKind::kLvmm);
+  MachineUnit p(UnitKind::kLvmm);
   p.prepare(RunConfig::for_rate_mbps(30.0));
   p.machine().run_for(seconds_to_cycles(0.06));
   const u32 rate_before = p.mailbox().ticks;  // just progress proof
@@ -85,7 +85,7 @@ TEST(ControlChannel, MarkCommandRecordsWithoutSideEffects) {
 
 TEST(ControlChannel, BadMagicIgnoredStreamUnaffected) {
   RunConfig rc = RunConfig::for_rate_mbps(30.0);
-  Platform p(PlatformKind::kLvmm);
+  MachineUnit p(UnitKind::kLvmm);
   p.prepare(rc);
   p.sink().set_payload_validator(guest::make_stream_validator(rc));
   p.machine().run_for(seconds_to_cycles(0.06));
@@ -103,7 +103,7 @@ TEST(ControlChannel, BadMagicIgnoredStreamUnaffected) {
 }
 
 TEST(ControlChannel, BurstOfRequestsAllProcessed) {
-  Platform p(PlatformKind::kLvmm);
+  MachineUnit p(UnitKind::kLvmm);
   p.prepare(RunConfig::for_rate_mbps(30.0));
   p.machine().run_for(seconds_to_cycles(0.06));
   for (u32 i = 0; i < 8; ++i) {

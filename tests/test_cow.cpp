@@ -8,8 +8,8 @@
 #include "common/metrics.h"
 #include "common/units.h"
 #include "cpu/phys_mem.h"
+#include "fleet/machine_unit.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
 #include "vmm/time_travel.h"
 
 namespace vdbg::test {
@@ -19,8 +19,8 @@ using cpu::CowPages;
 using cpu::kPageSize;
 using cpu::PhysMem;
 using guest::RunConfig;
-using harness::Platform;
-using harness::PlatformKind;
+using fleet::MachineUnit;
+using fleet::UnitKind;
 using vmm::TimeTravel;
 using MStop = hw::Machine::StopReason;
 
@@ -142,8 +142,8 @@ TEST(CowPhysMem, MetricsRegisterUnderMemCow) {
 
 // ------------------------------------------------- delta checkpoint ring --
 
-std::unique_ptr<Platform> make_lvmm() {
-  auto p = std::make_unique<Platform>(PlatformKind::kLvmm);
+std::unique_ptr<MachineUnit> make_lvmm() {
+  auto p = std::make_unique<MachineUnit>(UnitKind::kLvmm);
   p->prepare(RunConfig::for_rate_mbps(40.0));
   return p;
 }

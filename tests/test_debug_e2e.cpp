@@ -9,9 +9,9 @@
 #include "cpu/isa.h"
 #include "cpu/superblock.h"
 #include "debug/remote_debugger.h"
+#include "fleet/machine_unit.h"
 #include "guest/layout.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
 #include "vmm/stub.h"
 #include "vmm/time_travel.h"
 
@@ -20,13 +20,13 @@ namespace {
 
 using debug::RemoteDebugger;
 using guest::RunConfig;
-using harness::Platform;
-using harness::PlatformKind;
+using fleet::MachineUnit;
+using fleet::UnitKind;
 using StopKind = RemoteDebugger::StopKind;
 
 struct DebugRig {
   explicit DebugRig(RunConfig rc = RunConfig()) {
-    platform = std::make_unique<Platform>(PlatformKind::kLvmm);
+    platform = std::make_unique<MachineUnit>(UnitKind::kLvmm);
     platform->prepare(rc);
     stub = std::make_unique<vmm::DebugStub>(*platform->monitor(),
                                             platform->machine().uart());
@@ -36,7 +36,7 @@ struct DebugRig {
     dbg->add_symbols(platform->image().app);
   }
 
-  std::unique_ptr<Platform> platform;
+  std::unique_ptr<MachineUnit> platform;
   std::unique_ptr<vmm::DebugStub> stub;
   std::unique_ptr<RemoteDebugger> dbg;
 };

@@ -19,17 +19,17 @@
 #include "common/log.h"
 #include "common/units.h"
 #include "fleet/fleet.h"
+#include "fleet/machine_unit.h"
 #include "fleet/server.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
 
 namespace vdbg::test {
 namespace {
 
 namespace fs = std::filesystem;
 using guest::RunConfig;
-using harness::Platform;
-using harness::PlatformKind;
+using fleet::MachineUnit;
+using fleet::UnitKind;
 using MStop = hw::Machine::StopReason;
 
 // ------------------------------------------------------------ determinism --
@@ -37,7 +37,7 @@ using MStop = hw::Machine::StopReason;
 // The fleet contract: a machine's simulated timeline does not depend on
 // thread placement or slice pumping. Two fleet machines sharded across two
 // workers must finish bit-identical to each other AND to the same guest
-// run solo through harness::Platform — every replay-exact metric and every
+// run solo through fleet::MachineUnit — every replay-exact metric and every
 // guest mailbox field.
 TEST(FleetDeterminism, TwoShardedMachinesMatchSoloRunBitForBit) {
   const RunConfig rc = RunConfig::for_rate_mbps(40.0);
@@ -45,9 +45,9 @@ TEST(FleetDeterminism, TwoShardedMachinesMatchSoloRunBitForBit) {
 
   // Solo reference. Stub attach is a guest-visible UART register write, so
   // the solo run attaches one too (the fleet attaches by default).
-  Platform solo(PlatformKind::kLvmm);
+  MachineUnit solo(UnitKind::kLvmm);
   solo.prepare(rc);
-  ASSERT_NE(solo.unit().attach_stub(), nullptr);
+  ASSERT_NE(solo.attach_stub(), nullptr);
   ASSERT_EQ(solo.machine().run_for(budget), MStop::kBudget);
   const auto want = solo.metrics().snapshot(/*replay_exact_only=*/true);
   const auto want_mb = solo.mailbox();

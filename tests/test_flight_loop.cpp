@@ -11,8 +11,8 @@
 #include "debug/remote_debugger.h"
 #include "fleet/machine_unit.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
 #include "vmm/flight_loop.h"
+#include "vmm/time_travel.h"
 #include "vmm/trace.h"
 
 namespace vdbg::test {
@@ -20,14 +20,14 @@ namespace {
 
 using debug::RemoteDebugger;
 using guest::RunConfig;
-using harness::Platform;
-using harness::PlatformKind;
+using fleet::MachineUnit;
+using fleet::UnitKind;
 using vmm::ExitTracer;
 using vmm::FlightLoop;
 using MStop = hw::Machine::StopReason;
 
-std::unique_ptr<Platform> make_lvmm() {
-  auto p = std::make_unique<Platform>(PlatformKind::kLvmm);
+std::unique_ptr<MachineUnit> make_lvmm() {
+  auto p = std::make_unique<MachineUnit>(UnitKind::kLvmm);
   p->prepare(RunConfig::for_rate_mbps(40.0));
   return p;
 }
@@ -140,6 +140,47 @@ TEST(FlightLoopWindow, FreezePreservesTheWindow) {
   fl.unfreeze();
   ASSERT_EQ(p->machine().run_for(seconds_to_cycles(0.02)), MStop::kBudget);
   EXPECT_GT(fl.stats().checkpoints, captured);
+}
+
+// A flight loop and a time-travel controller sharing a capture boundary:
+// the loop's checkpoint must contain that boundary's checkpoint charge
+// whichever was armed first, or its replay misses the charge and the
+// window proof fails.
+void verify_with_time_travel(bool flight_loop_first) {
+  auto p = make_lvmm();
+  ExitTracer tracer(4096);
+  tracer.set_enabled(true);
+  p->monitor()->set_tracer(&tracer);
+
+  FlightLoop fl(*p->monitor(), FlightLoop::Config{.interval = 50'000});
+  vmm::TimeTravel tt(*p->monitor());
+  ASSERT_EQ(tt.config().interval, fl.config().interval);
+  if (flight_loop_first) {
+    fl.arm();
+    tt.enable();
+  } else {
+    tt.enable();
+    fl.arm();
+  }
+
+  auto& m = p->machine();
+  ASSERT_EQ(m.run_for(seconds_to_cycles(0.03)), MStop::kBudget);
+  ASSERT_GT(tt.checkpoint_count(), 0u);
+  const u64 next = m.cpu().stats().instructions + 1;
+  ASSERT_EQ(m.run_to_instruction(next, seconds_to_cycles(0.01)),
+            MStop::kInstrLimit);
+
+  std::string why;
+  EXPECT_TRUE(fl.verify_window(&why)) << why;
+  EXPECT_EQ(m.cpu().stats().instructions, next);
+}
+
+TEST(FlightLoopWindow, VerifiesWithTimeTravelArmedAfter) {
+  verify_with_time_travel(/*flight_loop_first=*/true);
+}
+
+TEST(FlightLoopWindow, VerifiesWithTimeTravelArmedBefore) {
+  verify_with_time_travel(/*flight_loop_first=*/false);
 }
 
 // ---------------------------------------------------------- profiler ----

@@ -9,9 +9,9 @@
 #include "common/units.h"
 #include "cpu/mmu.h"
 #include "cpu/phys_mem.h"
+#include "fleet/machine_unit.h"
 #include "guest/layout.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
 #include "vmm/guest_mem.h"
 #include "vmm/shadow_mmu.h"
 
@@ -20,9 +20,9 @@ namespace {
 
 using cpu::Pte;
 using guest::RunConfig;
-using harness::Platform;
-using harness::PlatformKind;
-using harness::PlatformOptions;
+using fleet::MachineUnit;
+using fleet::UnitKind;
+using fleet::UnitOptions;
 using vmm::GuestMemory;
 using vmm::ShadowMmu;
 using vmm::VcpuState;
@@ -261,7 +261,7 @@ TEST(GuestMem, KillSwitchForcesFullWalks) {
 // ---------------------------------------------------------------------------
 
 TEST(GuestMemIntegration, MonitorHotPathHitsTranslationCache) {
-  Platform p(PlatformKind::kLvmm);
+  MachineUnit p(UnitKind::kLvmm);
   p.prepare(RunConfig::for_rate_mbps(40.0));
   p.machine().run_for(seconds_to_cycles(0.05));
   ASSERT_EQ(p.mailbox().magic, guest::Mailbox::kMagicValue);
@@ -291,11 +291,11 @@ TEST(GuestMemIntegration, MonitorHotPathHitsTranslationCache) {
 // ---------------------------------------------------------------------------
 
 TEST(GuestMemDifferential, CachedAndUncachedRunsStayInLockstep) {
-  PlatformOptions opts;
+  UnitOptions opts;
   opts.lvmm_costs.guest_walk_hit = opts.lvmm_costs.guest_walk;
 
-  Platform cached(PlatformKind::kLvmm, opts);
-  Platform uncached(PlatformKind::kLvmm, opts);
+  MachineUnit cached(UnitKind::kLvmm, opts);
+  MachineUnit uncached(UnitKind::kLvmm, opts);
   const RunConfig rc = RunConfig::for_rate_mbps(40.0);
   cached.prepare(rc);
   uncached.prepare(rc);

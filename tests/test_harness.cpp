@@ -21,29 +21,29 @@ SweepOptions quick() {
 }
 
 TEST(Platform, NamesAreStable) {
-  EXPECT_EQ(platform_name(PlatformKind::kNative), "real-hardware");
-  EXPECT_EQ(platform_name(PlatformKind::kLvmm), "lvmm");
-  EXPECT_EQ(platform_name(PlatformKind::kHosted), "vmware-ws4-like");
+  EXPECT_EQ(platform_name(fleet::UnitKind::kNative), "real-hardware");
+  EXPECT_EQ(platform_name(fleet::UnitKind::kLvmm), "lvmm");
+  EXPECT_EQ(platform_name(fleet::UnitKind::kHosted), "vmware-ws4-like");
 }
 
 TEST(Platform, PrepareTwiceThrows) {
-  Platform p(PlatformKind::kNative);
+  fleet::MachineUnit p(fleet::UnitKind::kNative);
   p.prepare(guest::RunConfig());
   EXPECT_THROW(p.prepare(guest::RunConfig()), std::logic_error);
 }
 
 TEST(Platform, MonitorPresenceByKind) {
-  Platform n(PlatformKind::kNative);
+  fleet::MachineUnit n(fleet::UnitKind::kNative);
   n.prepare(guest::RunConfig());
   EXPECT_EQ(n.monitor(), nullptr);
   EXPECT_EQ(n.hosted(), nullptr);
 
-  Platform l(PlatformKind::kLvmm);
+  fleet::MachineUnit l(fleet::UnitKind::kLvmm);
   l.prepare(guest::RunConfig());
   EXPECT_NE(l.monitor(), nullptr);
   EXPECT_EQ(l.hosted(), nullptr);
 
-  Platform h(PlatformKind::kHosted);
+  fleet::MachineUnit h(fleet::UnitKind::kHosted);
   h.prepare(guest::RunConfig());
   EXPECT_NE(h.monitor(), nullptr);
   EXPECT_NE(h.hosted(), nullptr);
@@ -73,8 +73,8 @@ TEST(RunConfig, ValidationRejectsBadGeometry) {
 }
 
 TEST(Experiment, MeasurementFieldsPopulated) {
-  const auto m = run_point(PlatformKind::kLvmm, 40.0, quick());
-  EXPECT_EQ(m.platform, PlatformKind::kLvmm);
+  const auto m = run_point(fleet::UnitKind::kLvmm, 40.0, quick());
+  EXPECT_EQ(m.platform, fleet::UnitKind::kLvmm);
   EXPECT_EQ(m.offered_mbps, 40.0);
   EXPECT_GT(m.achieved_mbps, 20.0);
   EXPECT_GT(m.cpu_load, 0.0);
@@ -86,14 +86,15 @@ TEST(Experiment, MeasurementFieldsPopulated) {
 }
 
 TEST(Experiment, LoadIncreasesWithOfferedRate) {
-  const auto rows = sweep(PlatformKind::kNative, {30.0, 120.0, 360.0}, quick());
+  const auto rows =
+      sweep(fleet::UnitKind::kNative, {30.0, 120.0, 360.0}, quick());
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_LT(rows[0].cpu_load, rows[1].cpu_load);
   EXPECT_LT(rows[1].cpu_load, rows[2].cpu_load);
 }
 
 TEST(Experiment, SaturationPegsCpu) {
-  const auto m = saturation(PlatformKind::kLvmm, quick());
+  const auto m = saturation(fleet::UnitKind::kLvmm, quick());
   EXPECT_GT(m.cpu_load, 0.99);
   EXPECT_GT(m.achieved_mbps, 50.0);
   EXPECT_LT(m.achieved_mbps, 500.0);
@@ -101,7 +102,7 @@ TEST(Experiment, SaturationPegsCpu) {
 
 TEST(Report, TableAndCsvContainRows) {
   Measurement m;
-  m.platform = PlatformKind::kLvmm;
+  m.platform = fleet::UnitKind::kLvmm;
   m.offered_mbps = 100;
   m.achieved_mbps = 99.5;
   m.cpu_load = 0.5;

@@ -3,23 +3,23 @@
 #include <gtest/gtest.h>
 
 #include "common/units.h"
+#include "fleet/machine_unit.h"
 #include "guest/layout.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
 #include "net/udp.h"
 
 namespace vdbg::test {
 namespace {
 
 using guest::RunConfig;
-using harness::Platform;
-using harness::PlatformKind;
-using harness::PlatformOptions;
+using fleet::MachineUnit;
+using fleet::UnitKind;
+using fleet::UnitOptions;
 
 TEST(HostedUnit, EveryDeviceTouchIsTrappedAndCharged) {
   RunConfig rc = RunConfig::for_rate_mbps(10.0);
   rc.stop_after_segments = 8;
-  Platform p(PlatformKind::kHosted);
+  MachineUnit p(UnitKind::kHosted);
   p.prepare(rc);
   p.machine().run_until_stopped(seconds_to_cycles(3.0));
 
@@ -41,7 +41,7 @@ TEST(HostedUnit, EveryDeviceTouchIsTrappedAndCharged) {
 TEST(HostedUnit, CopiesCoverPacketsAndDiskPrefetch) {
   RunConfig rc = RunConfig::for_rate_mbps(10.0);
   rc.stop_after_segments = 8;
-  Platform p(PlatformKind::kHosted);
+  MachineUnit p(UnitKind::kHosted);
   p.prepare(rc);
   p.machine().run_until_stopped(seconds_to_cycles(3.0));
 
@@ -58,9 +58,9 @@ TEST(HostedUnit, SendCombiningReducesWorldSwitches) {
   auto run = [](bool switch_every_access) {
     RunConfig rc = RunConfig::for_rate_mbps(10.0);
     rc.stop_after_segments = 16;
-    PlatformOptions opts;
+    UnitOptions opts;
     opts.hosted_costs.switch_on_every_access = switch_every_access;
-    Platform p(PlatformKind::kHosted, opts);
+    MachineUnit p(UnitKind::kHosted, opts);
     p.prepare(rc);
     p.machine().run_until_stopped(seconds_to_cycles(3.0));
     return p.hosted()->hosted_stats().world_switches;
@@ -76,7 +76,7 @@ TEST(HostedUnit, GuestBehaviourIdenticalDespiteEmulation) {
   // same wire bytes, valid checksums — only slower.
   RunConfig rc = RunConfig::for_rate_mbps(10.0);
   rc.stop_after_segments = 12;
-  Platform p(PlatformKind::kHosted);
+  MachineUnit p(UnitKind::kHosted);
   p.prepare(rc);
   p.sink().set_payload_validator(guest::make_stream_validator(rc));
   const auto stop = p.machine().run_until_stopped(seconds_to_cycles(3.0));

@@ -5,8 +5,8 @@
 
 #include "asm/assembler.h"
 #include "common/units.h"
+#include "fleet/machine_unit.h"
 #include "guest/layout.h"
-#include "harness/platform.h"
 #include "hw/scsi_disk.h"
 
 namespace vdbg::test {
@@ -14,12 +14,12 @@ namespace {
 
 using guest::Mailbox;
 using guest::RunConfig;
-using harness::Platform;
-using harness::PlatformKind;
+using fleet::MachineUnit;
+using fleet::UnitKind;
 using hw::Machine;
 
 TEST(LvmmBoot, ReachesMagicAndTicksLikeNative) {
-  Platform p(PlatformKind::kLvmm);
+  MachineUnit p(UnitKind::kLvmm);
   p.prepare(RunConfig());
   p.machine().run_for(seconds_to_cycles(0.05));
   const auto mb = p.mailbox();
@@ -41,7 +41,7 @@ TEST(LvmmBoot, ReachesMagicAndTicksLikeNative) {
 TEST(LvmmTransfer, FullPipelineIntegrityUnderTheMonitor) {
   RunConfig rc = RunConfig::for_rate_mbps(60.0);
   rc.stop_after_segments = 48;
-  Platform p(PlatformKind::kLvmm);
+  MachineUnit p(UnitKind::kLvmm);
   p.prepare(rc);
   p.sink().set_payload_validator(guest::make_stream_validator(rc));
 
@@ -63,7 +63,7 @@ TEST(LvmmTransfer, FullPipelineIntegrityUnderTheMonitor) {
 TEST(LvmmTransfer, HighThroughputDevicesAreDirectAccess) {
   RunConfig rc = RunConfig::for_rate_mbps(60.0);
   rc.stop_after_segments = 32;
-  Platform p(PlatformKind::kLvmm);
+  MachineUnit p(UnitKind::kLvmm);
   p.prepare(rc);
   p.machine().run_until_stopped(seconds_to_cycles(2.0));
 
@@ -77,7 +77,7 @@ TEST(LvmmTransfer, HighThroughputDevicesAreDirectAccess) {
 }
 
 TEST(LvmmProtect, UserWildWriteToMonitorAddressReflectsToGuest) {
-  Platform p(PlatformKind::kLvmm);
+  MachineUnit p(UnitKind::kLvmm);
   p.prepare(RunConfig());
   // Replace the app: write to the monitor's home (beyond guest RAM).
   vasm::Assembler a(guest::kAppBase);
@@ -98,7 +98,7 @@ TEST(LvmmProtect, GuestKernelMappingMonitorFramesIsDenied) {
   // page onto a monitor frame, then writes through it. The shadow refuses:
   // the guest sees #PF; with no working IDT it triple-faults (virtually);
   // the monitor survives.
-  Platform p(PlatformKind::kLvmm);
+  MachineUnit p(UnitKind::kLvmm);
   vasm::Assembler a(guest::kKernelBase);
   using namespace vasm;
   using cpu::kR0;
@@ -143,7 +143,7 @@ TEST(LvmmProtect, GuestKernelMappingMonitorFramesIsDenied) {
 }
 
 TEST(LvmmProtect, DmaToMonitorFramesIsRefused) {
-  Platform p(PlatformKind::kLvmm);
+  MachineUnit p(UnitKind::kLvmm);
   // Zero rate + small chunks: the guest's prefetch finishes quickly and the
   // controllers go idle, so our probe request doesn't race guest traffic.
   RunConfig rc;
@@ -168,7 +168,7 @@ TEST(LvmmProtect, DmaToMonitorFramesIsRefused) {
 }
 
 TEST(LvmmCrash, GuestTripleFaultLeavesMonitorAlive) {
-  Platform p(PlatformKind::kLvmm);
+  MachineUnit p(UnitKind::kLvmm);
   p.prepare(RunConfig());
   p.machine().run_for(seconds_to_cycles(0.01));  // boot to steady state
   ASSERT_EQ(p.mailbox().magic, Mailbox::kMagicValue);
@@ -191,7 +191,7 @@ TEST(LvmmCrash, GuestTripleFaultLeavesMonitorAlive) {
 TEST(HostedVmm, BootsAndTransfersWithHostPathCharges) {
   RunConfig rc = RunConfig::for_rate_mbps(20.0);
   rc.stop_after_segments = 16;
-  Platform p(PlatformKind::kHosted);
+  MachineUnit p(UnitKind::kHosted);
   p.prepare(rc);
   p.sink().set_payload_validator(guest::make_stream_validator(rc));
 
@@ -213,17 +213,17 @@ TEST(HostedVmm, BootsAndTransfersWithHostPathCharges) {
 }
 
 TEST(PlatformCompare, CpuLoadOrderingMatchesThePaper) {
-  auto load_at = [](PlatformKind k, double mbps) {
-    Platform p(k);
+  auto load_at = [](UnitKind k, double mbps) {
+    MachineUnit p(k);
     p.prepare(RunConfig::for_rate_mbps(mbps));
     p.machine().run_for(seconds_to_cycles(0.02));
     const auto probe = p.machine().begin_load_probe();
     p.machine().run_for(seconds_to_cycles(0.03));
     return p.machine().cpu_load(probe);
   };
-  const double native = load_at(PlatformKind::kNative, 30.0);
-  const double lvmm = load_at(PlatformKind::kLvmm, 30.0);
-  const double hosted = load_at(PlatformKind::kHosted, 30.0);
+  const double native = load_at(UnitKind::kNative, 30.0);
+  const double lvmm = load_at(UnitKind::kLvmm, 30.0);
+  const double hosted = load_at(UnitKind::kHosted, 30.0);
   EXPECT_GT(lvmm, native);
   EXPECT_GT(hosted, lvmm);
 }

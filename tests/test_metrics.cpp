@@ -14,9 +14,9 @@
 #include "common/metrics.h"
 #include "common/units.h"
 #include "debug/remote_debugger.h"
+#include "fleet/machine_unit.h"
 #include "guest/layout.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
 #include "vmm/flight_recorder.h"
 #include "vmm/stub.h"
 #include "vmm/time_travel.h"
@@ -27,8 +27,8 @@ namespace {
 
 using debug::RemoteDebugger;
 using guest::RunConfig;
-using harness::Platform;
-using harness::PlatformKind;
+using fleet::MachineUnit;
+using fleet::UnitKind;
 using vmm::FlightRecorder;
 using vmm::TimeTravel;
 using MStop = hw::Machine::StopReason;
@@ -108,7 +108,7 @@ TEST(MetricsRegistry, JsonEscapesNothingButIsWellFormed) {
 
 // The platform registers every machine/monitor counter under one roof.
 TEST(MetricsRegistry, PlatformRegistersTheWholeStack) {
-  Platform p(PlatformKind::kLvmm);
+  MachineUnit p(UnitKind::kLvmm);
   p.prepare(RunConfig::for_rate_mbps(40.0));
   ASSERT_EQ(p.machine().run_for(seconds_to_cycles(0.02)), MStop::kBudget);
 
@@ -131,7 +131,7 @@ TEST(MetricsRegistry, PlatformRegistersTheWholeStack) {
 
 struct WireRig {
   explicit WireRig(double mbps = 0.0) {
-    platform = std::make_unique<Platform>(PlatformKind::kLvmm);
+    platform = std::make_unique<MachineUnit>(UnitKind::kLvmm);
     platform->prepare(mbps > 0 ? RunConfig::for_rate_mbps(mbps)
                                : RunConfig());
     stub = std::make_unique<vmm::DebugStub>(*platform->monitor(),
@@ -161,7 +161,7 @@ struct WireRig {
     return wire_out.substr(dollar + 1, hash - dollar - 1);
   }
 
-  std::unique_ptr<Platform> platform;
+  std::unique_ptr<MachineUnit> platform;
   std::unique_ptr<vmm::DebugStub> stub;
   std::string wire_out;
 };
@@ -225,7 +225,7 @@ TEST(MetricsRsp, PrefixFilteredRoundTripMatchesRegistry) {
 }
 
 TEST(MetricsRsp, RemoteDebuggerParsesMetrics) {
-  Platform p(PlatformKind::kLvmm);
+  MachineUnit p(UnitKind::kLvmm);
   p.prepare(RunConfig::for_rate_mbps(40.0));
   vmm::DebugStub stub(*p.monitor(), p.machine().uart());
   stub.attach();
@@ -261,7 +261,7 @@ TEST(MetricsRsp, RemoteDebuggerParsesMetrics) {
 
 /// Wrecks the guest's IDT so the next interrupt virtual-triple-faults the
 /// kernel (the crash_resilience.cpp recipe).
-void corrupt_idt(Platform& p) {
+void corrupt_idt(MachineUnit& p) {
   const u32 idt = p.image().kernel.symbol("idt").value();
   for (u32 i = 0; i < guest::kIdtEntries * 8; i += 4) {
     p.machine().mem().write32(idt + i, 0x00dead00);
@@ -269,7 +269,7 @@ void corrupt_idt(Platform& p) {
 }
 
 TEST(FlightRecorder, ArmedRecorderCapturesOnGuestCrash) {
-  Platform p(PlatformKind::kLvmm);
+  MachineUnit p(UnitKind::kLvmm);
   p.prepare(RunConfig::for_rate_mbps(40.0));
   vmm::ExitTracer tracer(1024);
   tracer.set_enabled(true);
@@ -303,7 +303,7 @@ TEST(FlightRecorder, ArmedRecorderCapturesOnGuestCrash) {
 }
 
 TEST(FlightRecorder, CaptureWithoutTracerOrRegistryStillWorks) {
-  Platform p(PlatformKind::kLvmm);
+  MachineUnit p(UnitKind::kLvmm);
   p.prepare(RunConfig::for_rate_mbps(40.0));
   FlightRecorder fr(*p.monitor());
   p.machine().run_for(seconds_to_cycles(0.01));
@@ -360,7 +360,7 @@ TEST(FlightRecorder, RspFlightDumpWritesBundlePostCrash) {
 // ------------------------------------------------------- replay exactness --
 
 TEST(MetricsReplay, ReplayReproducesReplayExactMetricsBitIdentically) {
-  Platform p(PlatformKind::kLvmm);
+  MachineUnit p(UnitKind::kLvmm);
   p.prepare(RunConfig::for_rate_mbps(40.0));
   auto& m = p.machine();
   TimeTravel::Config cfg;

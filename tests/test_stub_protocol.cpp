@@ -9,19 +9,19 @@
 
 #include "common/rng.h"
 #include "common/units.h"
+#include "fleet/machine_unit.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
 #include "vmm/stub.h"
 
 namespace vdbg::test {
 namespace {
 
-using harness::Platform;
-using harness::PlatformKind;
+using fleet::MachineUnit;
+using fleet::UnitKind;
 
 struct WireRig {
   WireRig() {
-    platform = std::make_unique<Platform>(PlatformKind::kLvmm);
+    platform = std::make_unique<MachineUnit>(UnitKind::kLvmm);
     platform->prepare(guest::RunConfig());
     stub = std::make_unique<vmm::DebugStub>(*platform->monitor(),
                                             platform->machine().uart());
@@ -57,7 +57,7 @@ struct WireRig {
     return wire_out.substr(dollar + 1, hash - dollar - 1);
   }
 
-  std::unique_ptr<Platform> platform;
+  std::unique_ptr<MachineUnit> platform;
   std::unique_ptr<vmm::DebugStub> stub;
   std::string wire_out;
 };

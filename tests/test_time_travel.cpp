@@ -4,15 +4,17 @@
 // at the controller level and end-to-end over the RSP wire.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 
 #include "common/snapshot.h"
 #include "common/units.h"
 #include "debug/remote_debugger.h"
+#include "fleet/machine_unit.h"
 #include "guest/layout.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
 #include "vmm/stub.h"
 #include "vmm/time_travel.h"
+#include "vmm/trace.h"
 
 namespace vdbg::test {
 namespace {
@@ -20,15 +22,15 @@ namespace {
 using debug::RemoteDebugger;
 using guest::Mailbox;
 using guest::RunConfig;
-using harness::Platform;
-using harness::PlatformKind;
+using fleet::MachineUnit;
+using fleet::UnitKind;
 using vmm::TimeTravel;
 using MStop = hw::Machine::StopReason;
 using Outcome = TimeTravel::ReverseOutcome;
 using StopKind = RemoteDebugger::StopKind;
 
-std::unique_ptr<Platform> make_lvmm() {
-  auto p = std::make_unique<Platform>(PlatformKind::kLvmm);
+std::unique_ptr<MachineUnit> make_lvmm() {
+  auto p = std::make_unique<MachineUnit>(UnitKind::kLvmm);
   p->prepare(RunConfig::for_rate_mbps(40.0));
   return p;
 }
@@ -329,7 +331,7 @@ struct TtRig {
     dbg->add_symbols(platform->image().app);
   }
 
-  std::unique_ptr<Platform> platform;
+  std::unique_ptr<MachineUnit> platform;
   std::unique_ptr<vmm::DebugStub> stub;
   std::unique_ptr<TimeTravel> tt;
   std::unique_ptr<RemoteDebugger> dbg;
@@ -452,6 +454,58 @@ TEST(TimeTravelRsp, ContinueAfterReverseStepOffBreakpointRunsCleanly) {
   rig.platform->machine().run_for(seconds_to_cycles(0.01));
   EXPECT_EQ(rig.platform->mailbox().last_error, 0u);
   EXPECT_EQ(rig.platform->sink().checksum_errors(), 0u);
+}
+
+// Resuming off a breakpoint anchors a checkpoint mid step-over: the site
+// is un-patched and the trap flag armed. Replaying from it must execute the
+// original instruction there, as the recorded run did, so the checkpoint's
+// window holds no hit and reverse-continue lands on the earlier hit itself,
+// replayed from before it: same icount, same pc, same simulated time.
+TEST(TimeTravelRsp, ReverseContinueLandsOnHitBehindSteppedOverBreakpoint) {
+  TtRig rig;
+  vmm::ExitTracer tracer;
+  tracer.set_enabled(true);
+  rig.platform->monitor()->set_tracer(&tracer);
+  ASSERT_TRUE(rig.dbg->connect());
+  rig.platform->machine().run_for(seconds_to_cycles(0.03));
+  rig.tt->enable();
+
+  // The newest guest stop: icount, and the simulated time the monitor froze
+  // the guest (traced before any debugger reply is charged).
+  auto last_stop = [&] {
+    const auto events = tracer.snapshot();
+    const auto it = std::find_if(
+        events.rbegin(), events.rend(), [](const vmm::TraceEvent& e) {
+          return e.kind == vmm::TraceKind::kDebugStop;
+        });
+    return std::pair(rig.dbg->icount().value_or(0),
+                     it == events.rend() ? Cycles{0} : it->timestamp);
+  };
+
+  const auto isr_nic = rig.dbg->lookup("isr_nic");
+  ASSERT_TRUE(isr_nic);
+  ASSERT_TRUE(rig.dbg->set_breakpoint(*isr_nic));
+  ASSERT_EQ(rig.dbg->continue_and_wait(seconds_to_cycles(0.05)),
+            StopKind::kBreak);
+  const auto first = last_stop();
+  ASSERT_EQ(rig.dbg->continue_and_wait(seconds_to_cycles(0.05)),
+            StopKind::kBreak);
+  ASSERT_GT(last_stop().first, first.first);
+
+  ASSERT_EQ(rig.dbg->reverse_continue(), StopKind::kBreak);
+  EXPECT_EQ(last_stop(), first);
+  EXPECT_EQ(rig.dbg->read_registers()->pc, *isr_nic);
+
+  // Stepping twice past a hit anchors two more checkpoints, the first again
+  // mid step-over; reverse-continue returns to that hit.
+  ASSERT_EQ(rig.dbg->continue_and_wait(seconds_to_cycles(0.05)),
+            StopKind::kBreak);
+  const auto hit = last_stop();
+  ASSERT_EQ(rig.dbg->step(), StopKind::kBreak);
+  ASSERT_EQ(rig.dbg->step(), StopKind::kBreak);
+  ASSERT_EQ(rig.dbg->reverse_continue(), StopKind::kBreak);
+  EXPECT_EQ(last_stop(), hit);
+  EXPECT_EQ(rig.dbg->read_registers()->pc, *isr_nic);
 }
 
 // Reverse without history is refused over the wire (Exx -> kError) and the

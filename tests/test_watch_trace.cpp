@@ -5,9 +5,9 @@
 
 #include "common/units.h"
 #include "debug/remote_debugger.h"
+#include "fleet/machine_unit.h"
 #include "guest/layout.h"
 #include "guest/minitactix.h"
-#include "harness/platform.h"
 #include "vmm/stub.h"
 #include "vmm/trace.h"
 
@@ -17,13 +17,13 @@ namespace {
 using debug::RemoteDebugger;
 using guest::Mailbox;
 using guest::RunConfig;
-using harness::Platform;
-using harness::PlatformKind;
+using fleet::MachineUnit;
+using fleet::UnitKind;
 using StopKind = RemoteDebugger::StopKind;
 
 struct Rig {
   explicit Rig(RunConfig rc = RunConfig::for_rate_mbps(40.0)) {
-    platform = std::make_unique<Platform>(PlatformKind::kLvmm);
+    platform = std::make_unique<MachineUnit>(UnitKind::kLvmm);
     platform->prepare(rc);
     stub = std::make_unique<vmm::DebugStub>(*platform->monitor(),
                                             platform->machine().uart());
@@ -32,7 +32,7 @@ struct Rig {
     dbg = std::make_unique<RemoteDebugger>(platform->machine());
   }
 
-  std::unique_ptr<Platform> platform;
+  std::unique_ptr<MachineUnit> platform;
   std::unique_ptr<vmm::DebugStub> stub;
   std::unique_ptr<RemoteDebugger> dbg;
   vmm::ExitTracer tracer;
