@@ -34,8 +34,6 @@ CachedBlock* BlockCache::build(PAddr pa, const PhysMem& mem, u64& builds,
   slot.pa = pa;
   slot.version = version;
   slot.count = n;
-  slot.hot = 0;
-  slot.falls_through = !is_block_terminator(slot.instrs[n - 1].op);
   slot.valid = true;
   ++builds;
   return &slot;

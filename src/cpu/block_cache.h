@@ -40,14 +40,7 @@ struct CachedBlock {
   PAddr pa = 0;     // physical address of the first instruction
   u64 version = 0;  // code-page write version when the block was decoded
   u16 count = 0;    // decoded instructions, >= 1 for a valid block
-  u16 hot = 0;      // executions since decode; drives superblock promotion
   bool valid = false;
-  // Tail is a non-terminator that ran into the page boundary (or the block
-  // cap). The fall-through successor starts at pa + count*8 — on the next
-  // page for a page-edge block — and is itself a block entry, so the
-  // superblock tier may chain straight to it; the chain guard checks the
-  // successor's own page version, which is exactly the second page's.
-  bool falls_through = false;
   std::array<Instr, kMaxBlockInstrs> instrs{};
 };
 

@@ -5,12 +5,7 @@
 namespace vdbg::cpu {
 
 Cpu::Cpu(PhysMem& mem, IoBus& io, IntrLine* intr, const CostModel& costs)
-    : mem_(mem), io_(io), intr_(intr), costs_(costs), mmu_(mem, costs) {
-  // Capture the threaded executor's handler table: the computed-goto labels
-  // live inside exec_superblock's body, so a null-block call is the only way
-  // to export them for SuperblockCache::translate.
-  exec_superblock(nullptr, 0);
-}
+    : mem_(mem), io_(io), intr_(intr), costs_(costs), mmu_(mem, costs) {}
 
 void Cpu::io_allow_range(u16 first, u16 count, bool allow) {
   // Word-parallel update: head/tail partial words get a sub-range mask, the
@@ -164,98 +159,44 @@ void Cpu::run_cached(Cycles target) {
   // hook activity moves run_limit_, and every op with such side effects
   // forces dispatch back to run() (not a pure branch).
   const Cycles stop = target < run_limit_ ? target : run_limit_;
-  // Pending chain-edge request from the superblock executor, resolved
-  // against the next block this loop dispatches.
-  SuperBlock* chain_from = nullptr;
-  u8 chain_slot = 0;
-  PAddr pa = 0;
-  // Set when the executor's chain guard already resolved (and accounted)
-  // the fetch translation for st_.pc; skips the entry resolution below.
-  bool have_pa = false;
   for (;;) {
     const u32 pc0 = st_.pc;
-    if (!have_pa) {
-      if (pc0 & 0x7) {
-        raise(Fault::gp(1), pc0);
+    if (pc0 & 0x7) {
+      raise(Fault::gp(1), pc0);
+      return;
+    }
+    // Block-entry fetch translation, with the unpaged and TLB-hit cases
+    // inlined. Accounting matches Mmu::translate exactly: unpaged charges
+    // nothing and touches no counters, a TLB hit charges nothing and bumps
+    // hits_ (fetch_recheck does both), everything else — miss, permission
+    // fault, bad physical range — falls back to the real translate.
+    PAddr pa = 0;
+    if (!st_.paging_enabled()) {
+      if (!mem_.contains(pc0, kInstrBytes)) {
+        raise(Fault::gp(/*err=*/2), pc0);
         return;
       }
-      // Block-entry fetch translation, with the unpaged and TLB-hit cases
-      // inlined. Accounting matches Mmu::translate exactly: unpaged charges
-      // nothing and touches no counters, a TLB hit charges nothing and bumps
-      // hits_ (fetch_recheck does both), everything else — miss, permission
-      // fault, bad physical range — falls back to the real translate.
-      if (!st_.paging_enabled()) {
-        if (!mem_.contains(pc0, kInstrBytes)) {
-          raise(Fault::gp(/*err=*/2), pc0);
-          return;
-        }
-        pa = pc0;
-      } else if (!mmu_.fetch_recheck(pc0, st_.cpl(), pa)) {
-        auto tr =
-            mmu_.translate(st_, pc0, Access::kExec, st_.cpl(), kInstrBytes);
-        cycles_ += tr.cost;
-        if (!tr.ok) {
-          raise(tr.fault, pc0);
-          return;
-        }
-        pa = tr.pa;
+      pa = pc0;
+    } else if (!mmu_.fetch_recheck(pc0, st_.cpl(), pa)) {
+      auto tr = mmu_.translate(st_, pc0, Access::kExec, st_.cpl(), kInstrBytes);
+      cycles_ += tr.cost;
+      if (!tr.ok) {
+        raise(tr.fault, pc0);
+        return;
       }
+      pa = tr.pa;
     }
-    have_pa = false;
     const u64 version = mem_.page_version(pa >> kPageBits);
-    SuperBlock* sb =
-        superblocks_enabled_ ? sbcache_.lookup(pa, version, sbc_stats_)
-                             : nullptr;
-    CachedBlock* blk = nullptr;
-    if (!sb) {
-      blk = bcache_.lookup(pa, version, stats_.block_hits);
+    CachedBlock* blk = bcache_.lookup(pa, version, stats_.block_hits);
+    if (!blk) {
+      blk = bcache_.build(pa, mem_, stats_.block_builds,
+                          stats_.block_invalidations);
       if (!blk) {
-        blk = bcache_.build(pa, mem_, stats_.block_builds,
-                            stats_.block_invalidations);
-        if (!blk) {
-          // Undecodable head (invalid opcode / truncated fetch): the slow
-          // tail raises the architecturally correct fault.
-          step_at(pa, pc0, /*tf_pending=*/false);
-          return;
-        }
+        // Undecodable head (invalid opcode / truncated fetch): the slow
+        // tail raises the architecturally correct fault.
+        step_at(pa, pc0, /*tf_pending=*/false);
+        return;
       }
-      // Hotness promotion into the superblock tier. The counter saturates
-      // at the threshold so an evicted-and-rebuilt superblock re-promotes
-      // on the next dispatch instead of waiting out a full warmup.
-      if (superblocks_enabled_) {
-        if (blk->hot >= SuperblockCache::kHotThreshold) {
-          sb = sbcache_.translate(*blk, mem_, costs_, sb_labels_, sbc_stats_);
-        } else {
-          ++blk->hot;
-        }
-      }
-    }
-    // Resolve the executor's pending chain request (tb_add_jump): the block
-    // now dispatched is exactly the one the requesting tail jumps to, so if
-    // both ends are superblocks, wire the direct edge. A request never
-    // outlives one dispatcher iteration — installing it against any later
-    // block would chain the wrong pair.
-    if (chain_from) {
-      if (sb && chain_from->valid && !chain_from->next[chain_slot]) {
-        chain_from->next[chain_slot] = sb;
-        sb->incoming.push_back({chain_from, chain_slot});
-      }
-      chain_from = nullptr;
-    }
-    if (sb) {
-      ++sbc_stats_.hits;
-      const SbRun r = exec_superblock(sb, stop);
-      if (r.kind == SbRun::kDone) return;
-      chain_from = r.from;
-      chain_slot = r.slot;
-      if (r.kind == SbRun::kDispatchAt) {
-        // The executor's chain guard already performed (and accounted) the
-        // fetch translation of the new pc; re-translating here would charge
-        // a second TLB hit the reference paths never see.
-        pa = r.pa;
-        have_pa = true;
-      }
-      continue;
     }
     // Chain into the next block only when the tail op provably left every
     // run()-loop condition unchanged (see is_pure_branch) and budget
@@ -479,840 +420,6 @@ __attribute__((flatten)) bool Cpu::exec_block(const CachedBlock& blk,
   step();
   return false;
 }
-
-// Tier-2 executor: threaded dispatch over translated superblocks with direct
-// cross-block chaining. Uses the GNU labels-as-values extension where
-// available (gcc and clang, i.e. every toolchain in CI); the portable
-// fallback dispatches the same handler bodies through a switch.
-#if defined(__GNUC__)
-#define VDBG_SB_THREADED 1
-#else
-#define VDBG_SB_THREADED 0
-#endif
-
-#if VDBG_SB_THREADED
-#define SB_CASE(name) h_##name:
-#define SB_DISPATCH() goto* ip->handler
-// Fast-mode dispatch goes through the flag-elided handler variant chosen at
-// translation time (SbInstr::fast_handler); only fast-mode sites use it.
-#define SB_DISPATCH_FAST() goto* ip->fast_handler
-#else
-#define SB_CASE(name) case SbClass::k##name:
-#define SB_DISPATCH() goto dispatch_loop
-// The portable switch dispatches on the exact class, so fallback builds
-// always compute flags — correct either way, elision is an optimization.
-#define SB_DISPATCH_FAST() goto dispatch_loop
-#endif
-
-// Boundary after a native non-branch instruction, expanded into every
-// handler (rather than shared via a label) so each handler ends in its own
-// indirect jump: with one dispatch site per handler the host BTB predicts
-// handler-to-handler transitions per site instead of funneling every
-// transition through a single shared branch. In fast mode the budget checks
-// were proven dead at entry and accounting was batched, so the boundary is
-// just the threaded-dispatch step itself; the slow path stays shared.
-#define SB_NEXT()                               \
-  do {                                          \
-    if (fast) {                                 \
-      if (++ip == end) goto tail_fallthrough;   \
-      SB_DISPATCH_FAST();                       \
-    }                                           \
-    goto next_instr;                            \
-  } while (0)
-
-// Boundary for handlers only ever reached through fast-mode dispatch (the
-// flag-elided twins): the mode test is statically true, so drop it.
-#define SB_NEXT_FAST()                          \
-  do {                                          \
-    if (++ip == end) goto tail_fallthrough;     \
-    SB_DISPATCH_FAST();                         \
-  } while (0)
-
-// Identical bit algebra to CpuState::set_flags / exec_block's set_zncv,
-// applied to the executor's psw local.
-#define SB_SET_ZNCV(z, n, c, v)                                             \
-  psw = (psw & ~Psw::kFlagsMask) | ((z) ? Psw::kZ : 0u) |                   \
-        ((n) ? Psw::kN : 0u) | ((c) ? Psw::kC : 0u) | ((v) ? Psw::kV : 0u)
-
-// flatten: inline execute() and the mem helpers into the generic handler,
-// as exec_block does for its dispatch loop. no-crossjumping/no-gcse keep
-// GCC from re-merging the per-handler dispatch sites SB_NEXT replicates
-// (the standard flags for computed-goto interpreter loops).
-#if defined(__GNUC__) && !defined(__clang__)
-__attribute__((optimize("no-crossjumping", "no-gcse")))
-#endif
-__attribute__((flatten)) Cpu::SbRun Cpu::exec_superblock(SuperBlock* sb,
-                                                         Cycles stop) {
-#if VDBG_SB_THREADED
-  // Indexed by SbClass; order must match the enum exactly.
-  static const void* const kLabels[] = {
-      &&h_Nop,    &&h_MovI,   &&h_Mov,    &&h_Add,    &&h_Sub,    &&h_And,
-      &&h_Or,     &&h_Xor,    &&h_Shl,    &&h_Shr,    &&h_Sar,    &&h_Mul,
-      &&h_AddI,   &&h_SubI,   &&h_AndI,   &&h_OrI,    &&h_XorI,   &&h_ShlI,
-      &&h_ShrI,   &&h_SarI,   &&h_MulI,   &&h_Cmp,    &&h_CmpI,   &&h_Jmp,
-      &&h_JmpR,   &&h_Jz,     &&h_Jnz,    &&h_Jb,     &&h_Jae,    &&h_Jbe,
-      &&h_Ja,     &&h_Jl,     &&h_Jge,    &&h_Jle,    &&h_Jg,     &&h_Generic,
-      &&h_AddNf,  &&h_SubNf,  &&h_AndNf,  &&h_OrNf,   &&h_XorNf,  &&h_ShlNf,
-      &&h_ShrNf,  &&h_SarNf,  &&h_MulNf,  &&h_AddINf, &&h_SubINf, &&h_AndINf,
-      &&h_OrINf,  &&h_XorINf, &&h_ShlINf, &&h_ShrINf, &&h_SarINf, &&h_MulINf,
-      &&h_CmpJz,  &&h_CmpJnz, &&h_CmpJb,  &&h_CmpJae, &&h_CmpJbe, &&h_CmpJa,
-      &&h_CmpJl,  &&h_CmpJge, &&h_CmpJle, &&h_CmpJg,  &&h_CmpIJz, &&h_CmpIJnz,
-      &&h_CmpIJb, &&h_CmpIJae, &&h_CmpIJbe, &&h_CmpIJa, &&h_CmpIJl,
-      &&h_CmpIJge, &&h_CmpIJle, &&h_CmpIJg};
-  static_assert(sizeof(kLabels) / sizeof(kLabels[0]) ==
-                static_cast<std::size_t>(SbClass::kNumClasses));
-  if (sb == nullptr) {
-    // Construction-time call: export the handler table for translation.
-    sb_labels_ = kLabels;
-    return {};
-  }
-#else
-  if (sb == nullptr) return {};
-#endif
-
-  // Loop-invariant guest state: every op that can change cpl, paging, the
-  // interrupt/trap flags, halted or run_limit_ is a non-pure terminator
-  // (SbTail::kStop) and exits to run() before the change can matter here.
-  const u8 cpl = st_.cpl();
-  const bool paged = st_.paging_enabled();
-  const Cycles fetch_cost = costs_.mem + costs_.base;
-  const Cycles branch_cost = costs_.branch_taken;
-  const Cycles mul_cost = costs_.mul;
-  const u64 instr_stop = instr_stop_;
-
-  // Executor-local mirrors of the hot members. They live in registers
-  // across chained blocks and are flushed at every exit and around the
-  // generic execute() path — the core of the tier's speedup over
-  // exec_block, which updates the members per instruction.
-  Cycles cyc = cycles_;
-  u64 icount = stats_.instructions;
-  u64 memacc = stats_.mem_accesses;
-  u64 tlb_pending = 0;  // proven fetch-recheck hits not yet in mmu_
-  u32 psw = st_.psw;
-  u32 pc = st_.pc;
-  u32* const regs = st_.regs.data();
-
-  const SbInstr* ip = nullptr;
-  const SbInstr* end = nullptr;
-  PAddr pa = 0;
-  bool pure = false;
-  bool fast = false;
-  u32 entry_va = 0;  // virtual pc this block was entered with (guard anchor)
-  u64 chains_batch = 0;  // chain-taken count, folded into sbc_stats_ on flush
-  // Register mirrors of the current fast block's entry constants, captured
-  // at fast entry so the proven self-chain re-entry runs without touching
-  // memory. Only read when `fast` is set (they go stale on slow entries).
-  const SbInstr* f_begin = nullptr;
-  Cycles f_worst = 0;
-  Cycles f_charge = 0;
-  u64 f_tlb = 0;
-  u32 f_pcstep = 0;
-  u16 f_n = 0;
-  u16 f_icount = 0;
-  const u64* version_ptr = nullptr;
-  u64 version = 0;
-  u8 slot = 0;
-  SbRun out{};
-
-  const auto flush = [&] {
-    cycles_ = cyc;
-    stats_.instructions = icount;
-    stats_.mem_accesses = memacc;
-    st_.psw = psw;
-    st_.pc = pc;
-    if (tlb_pending) {
-      mmu_.count_proven_fetch_hits(tlb_pending);
-      tlb_pending = 0;
-    }
-    if (chains_batch) {
-      sbc_stats_.chains += chains_batch;
-      chains_batch = 0;
-    }
-  };
-  const auto reload = [&] {
-    cyc = cycles_;
-    icount = stats_.instructions;
-    memacc = stats_.mem_accesses;
-    psw = st_.psw;
-    pc = st_.pc;
-  };
-
-enter_block:
-  // Entry accounting identical to exec_block's first iteration; the entry
-  // fetch translation and page-version check are the caller's (dispatcher
-  // or chain guard) and were already performed.
-  ip = sb->instrs.data();
-  end = ip + sb->count;
-  entry_va = pc;
-  // Fast mode: a pure block's per-instruction charges are all known at
-  // translation (count fetches, mul_count multiplies, at most one taken
-  // branch — precomputed into fast_worst/fast_charge), so if even the
-  // worst-case total stays under both budgets, no boundary check inside
-  // this block can fire — the checks are pure reads of monotonically
-  // increasing counters. Batch every per-instruction charge up front and
-  // run the body with nothing but ++ip between handlers. Native handlers
-  // cannot fault and nothing observes pc/cyc/icount before the tail, so the
-  // flushed state at every possible exit is bit-identical to slow mode.
-  // Impure blocks carry fast_worst = kNoFast, failing the first compare.
-  {
-    f_worst = sb->fast_worst;
-    const Cycles worst = cyc + f_worst;
-    if (worst < stop && icount + sb->count < instr_stop) {
-      fast = true;
-      f_begin = ip;
-      f_charge = sb->fast_charge;
-      f_n = sb->count;
-      f_icount = sb->fast_icount;
-      f_tlb = paged ? u64(sb->fast_tlb) : 0u;
-      f_pcstep = sb->fast_pc_step;
-      cyc += f_charge;
-      memacc += f_n;
-      tlb_pending += f_tlb;
-      // Non-tail retires are batched; the tail's ++icount stays with its
-      // branch handler, except a fall-through tail retires via next_instr
-      // (fast mode skips icount there), so fast_icount counts it instead.
-      icount += f_icount;
-      // Park pc on the tail instruction: no fast-mode exit can happen
-      // before the tail handler, and that handler is the next reader.
-      pc += f_pcstep;
-      SB_DISPATCH_FAST();
-    }
-  }
-  fast = false;
-  pa = sb->pa;
-  pure = sb->pure;
-  version_ptr = sb->version_ptr;
-  version = sb->version;
-  cyc += fetch_cost;
-  ++memacc;
-  SB_DISPATCH();
-
-#if !VDBG_SB_THREADED
-dispatch_loop:
-  switch (ip->cls) {
-#endif
-
-  SB_CASE(Nop) { SB_NEXT(); }
-  SB_CASE(MovI) {
-    regs[ip->rd & (kNumGprs - 1)] = ip->imm;
-    SB_NEXT();
-  }
-  SB_CASE(Mov) {
-    regs[ip->rd & (kNumGprs - 1)] = regs[ip->rs1 & (kNumGprs - 1)];
-    SB_NEXT();
-  }
-  SB_CASE(Add) {
-    const u32 a = regs[ip->rs1 & (kNumGprs - 1)];
-    const u32 b = regs[ip->rs2 & (kNumGprs - 1)];
-    const u32 r = a + b;
-    SB_SET_ZNCV(r == 0, r >> 31, r < a, (~(a ^ b) & (a ^ r)) >> 31);
-    regs[ip->rd & (kNumGprs - 1)] = r;
-    SB_NEXT();
-  }
-  SB_CASE(Sub) {
-    const u32 a = regs[ip->rs1 & (kNumGprs - 1)];
-    const u32 b = regs[ip->rs2 & (kNumGprs - 1)];
-    const u32 r = a - b;
-    SB_SET_ZNCV(r == 0, r >> 31, a < b, ((a ^ b) & (a ^ r)) >> 31);
-    regs[ip->rd & (kNumGprs - 1)] = r;
-    SB_NEXT();
-  }
-  SB_CASE(And) {
-    const u32 r = regs[ip->rs1 & (kNumGprs - 1)] & regs[ip->rs2 & (kNumGprs - 1)];
-    SB_SET_ZNCV(r == 0, r >> 31, 0, 0);
-    regs[ip->rd & (kNumGprs - 1)] = r;
-    SB_NEXT();
-  }
-  SB_CASE(Or) {
-    const u32 r = regs[ip->rs1 & (kNumGprs - 1)] | regs[ip->rs2 & (kNumGprs - 1)];
-    SB_SET_ZNCV(r == 0, r >> 31, 0, 0);
-    regs[ip->rd & (kNumGprs - 1)] = r;
-    SB_NEXT();
-  }
-  SB_CASE(Xor) {
-    const u32 r = regs[ip->rs1 & (kNumGprs - 1)] ^ regs[ip->rs2 & (kNumGprs - 1)];
-    SB_SET_ZNCV(r == 0, r >> 31, 0, 0);
-    regs[ip->rd & (kNumGprs - 1)] = r;
-    SB_NEXT();
-  }
-  SB_CASE(Shl) {
-    const u32 r = regs[ip->rs1 & (kNumGprs - 1)]
-                  << (regs[ip->rs2 & (kNumGprs - 1)] & 31);
-    SB_SET_ZNCV(r == 0, r >> 31, 0, 0);
-    regs[ip->rd & (kNumGprs - 1)] = r;
-    SB_NEXT();
-  }
-  SB_CASE(Shr) {
-    const u32 r =
-        regs[ip->rs1 & (kNumGprs - 1)] >> (regs[ip->rs2 & (kNumGprs - 1)] & 31);
-    SB_SET_ZNCV(r == 0, r >> 31, 0, 0);
-    regs[ip->rd & (kNumGprs - 1)] = r;
-    SB_NEXT();
-  }
-  SB_CASE(Sar) {
-    const u32 r = static_cast<u32>(
-        static_cast<i32>(regs[ip->rs1 & (kNumGprs - 1)]) >>
-        (regs[ip->rs2 & (kNumGprs - 1)] & 31));
-    SB_SET_ZNCV(r == 0, r >> 31, 0, 0);
-    regs[ip->rd & (kNumGprs - 1)] = r;
-    SB_NEXT();
-  }
-  SB_CASE(Mul) {
-    const u32 r =
-        regs[ip->rs1 & (kNumGprs - 1)] * regs[ip->rs2 & (kNumGprs - 1)];
-    SB_SET_ZNCV(r == 0, r >> 31, 0, 0);
-    regs[ip->rd & (kNumGprs - 1)] = r;
-    cyc += costs_.mul;
-    SB_NEXT();
-  }
-  SB_CASE(AddI) {
-    const u32 a = regs[ip->rs1 & (kNumGprs - 1)];
-    const u32 r = a + ip->imm;
-    SB_SET_ZNCV(r == 0, r >> 31, r < a, (~(a ^ ip->imm) & (a ^ r)) >> 31);
-    regs[ip->rd & (kNumGprs - 1)] = r;
-    SB_NEXT();
-  }
-  SB_CASE(SubI) {
-    const u32 a = regs[ip->rs1 & (kNumGprs - 1)];
-    const u32 r = a - ip->imm;
-    SB_SET_ZNCV(r == 0, r >> 31, a < ip->imm, ((a ^ ip->imm) & (a ^ r)) >> 31);
-    regs[ip->rd & (kNumGprs - 1)] = r;
-    SB_NEXT();
-  }
-  SB_CASE(AndI) {
-    const u32 r = regs[ip->rs1 & (kNumGprs - 1)] & ip->imm;
-    SB_SET_ZNCV(r == 0, r >> 31, 0, 0);
-    regs[ip->rd & (kNumGprs - 1)] = r;
-    SB_NEXT();
-  }
-  SB_CASE(OrI) {
-    const u32 r = regs[ip->rs1 & (kNumGprs - 1)] | ip->imm;
-    SB_SET_ZNCV(r == 0, r >> 31, 0, 0);
-    regs[ip->rd & (kNumGprs - 1)] = r;
-    SB_NEXT();
-  }
-  SB_CASE(XorI) {
-    const u32 r = regs[ip->rs1 & (kNumGprs - 1)] ^ ip->imm;
-    SB_SET_ZNCV(r == 0, r >> 31, 0, 0);
-    regs[ip->rd & (kNumGprs - 1)] = r;
-    SB_NEXT();
-  }
-  SB_CASE(ShlI) {
-    const u32 r = regs[ip->rs1 & (kNumGprs - 1)] << (ip->imm & 31);
-    SB_SET_ZNCV(r == 0, r >> 31, 0, 0);
-    regs[ip->rd & (kNumGprs - 1)] = r;
-    SB_NEXT();
-  }
-  SB_CASE(ShrI) {
-    const u32 r = regs[ip->rs1 & (kNumGprs - 1)] >> (ip->imm & 31);
-    SB_SET_ZNCV(r == 0, r >> 31, 0, 0);
-    regs[ip->rd & (kNumGprs - 1)] = r;
-    SB_NEXT();
-  }
-  SB_CASE(SarI) {
-    const u32 r = static_cast<u32>(
-        static_cast<i32>(regs[ip->rs1 & (kNumGprs - 1)]) >> (ip->imm & 31));
-    SB_SET_ZNCV(r == 0, r >> 31, 0, 0);
-    regs[ip->rd & (kNumGprs - 1)] = r;
-    SB_NEXT();
-  }
-  SB_CASE(MulI) {
-    const u32 r = regs[ip->rs1 & (kNumGprs - 1)] * ip->imm;
-    SB_SET_ZNCV(r == 0, r >> 31, 0, 0);
-    regs[ip->rd & (kNumGprs - 1)] = r;
-    cyc += costs_.mul;
-    SB_NEXT();
-  }
-  SB_CASE(Cmp) {
-    const u32 a = regs[ip->rs1 & (kNumGprs - 1)];
-    const u32 b = regs[ip->rs2 & (kNumGprs - 1)];
-    const u32 r = a - b;
-    SB_SET_ZNCV(r == 0, r >> 31, a < b, ((a ^ b) & (a ^ r)) >> 31);
-    SB_NEXT();
-  }
-  SB_CASE(CmpI) {
-    const u32 a = regs[ip->rs1 & (kNumGprs - 1)];
-    const u32 r = a - ip->imm;
-    SB_SET_ZNCV(r == 0, r >> 31, a < ip->imm, ((a ^ ip->imm) & (a ^ r)) >> 31);
-    SB_NEXT();
-  }
-
-  // --- flag-elided twins (fast-mode only; see SbClass::kAddNf) ---
-  SB_CASE(AddNf) {
-    regs[ip->rd & (kNumGprs - 1)] =
-        regs[ip->rs1 & (kNumGprs - 1)] + regs[ip->rs2 & (kNumGprs - 1)];
-    SB_NEXT_FAST();
-  }
-  SB_CASE(SubNf) {
-    regs[ip->rd & (kNumGprs - 1)] =
-        regs[ip->rs1 & (kNumGprs - 1)] - regs[ip->rs2 & (kNumGprs - 1)];
-    SB_NEXT_FAST();
-  }
-  SB_CASE(AndNf) {
-    regs[ip->rd & (kNumGprs - 1)] =
-        regs[ip->rs1 & (kNumGprs - 1)] & regs[ip->rs2 & (kNumGprs - 1)];
-    SB_NEXT_FAST();
-  }
-  SB_CASE(OrNf) {
-    regs[ip->rd & (kNumGprs - 1)] =
-        regs[ip->rs1 & (kNumGprs - 1)] | regs[ip->rs2 & (kNumGprs - 1)];
-    SB_NEXT_FAST();
-  }
-  SB_CASE(XorNf) {
-    regs[ip->rd & (kNumGprs - 1)] =
-        regs[ip->rs1 & (kNumGprs - 1)] ^ regs[ip->rs2 & (kNumGprs - 1)];
-    SB_NEXT_FAST();
-  }
-  SB_CASE(ShlNf) {
-    regs[ip->rd & (kNumGprs - 1)] = regs[ip->rs1 & (kNumGprs - 1)]
-                                    << (regs[ip->rs2 & (kNumGprs - 1)] & 31);
-    SB_NEXT_FAST();
-  }
-  SB_CASE(ShrNf) {
-    regs[ip->rd & (kNumGprs - 1)] =
-        regs[ip->rs1 & (kNumGprs - 1)] >> (regs[ip->rs2 & (kNumGprs - 1)] & 31);
-    SB_NEXT_FAST();
-  }
-  SB_CASE(SarNf) {
-    regs[ip->rd & (kNumGprs - 1)] = static_cast<u32>(
-        static_cast<i32>(regs[ip->rs1 & (kNumGprs - 1)]) >>
-        (regs[ip->rs2 & (kNumGprs - 1)] & 31));
-    SB_NEXT_FAST();
-  }
-  SB_CASE(MulNf) {
-    regs[ip->rd & (kNumGprs - 1)] =
-        regs[ip->rs1 & (kNumGprs - 1)] * regs[ip->rs2 & (kNumGprs - 1)];
-    cyc += mul_cost;
-    SB_NEXT_FAST();
-  }
-  SB_CASE(AddINf) {
-    regs[ip->rd & (kNumGprs - 1)] = regs[ip->rs1 & (kNumGprs - 1)] + ip->imm;
-    SB_NEXT_FAST();
-  }
-  SB_CASE(SubINf) {
-    regs[ip->rd & (kNumGprs - 1)] = regs[ip->rs1 & (kNumGprs - 1)] - ip->imm;
-    SB_NEXT_FAST();
-  }
-  SB_CASE(AndINf) {
-    regs[ip->rd & (kNumGprs - 1)] = regs[ip->rs1 & (kNumGprs - 1)] & ip->imm;
-    SB_NEXT_FAST();
-  }
-  SB_CASE(OrINf) {
-    regs[ip->rd & (kNumGprs - 1)] = regs[ip->rs1 & (kNumGprs - 1)] | ip->imm;
-    SB_NEXT_FAST();
-  }
-  SB_CASE(XorINf) {
-    regs[ip->rd & (kNumGprs - 1)] = regs[ip->rs1 & (kNumGprs - 1)] ^ ip->imm;
-    SB_NEXT_FAST();
-  }
-  SB_CASE(ShlINf) {
-    regs[ip->rd & (kNumGprs - 1)] = regs[ip->rs1 & (kNumGprs - 1)]
-                                    << (ip->imm & 31);
-    SB_NEXT_FAST();
-  }
-  SB_CASE(ShrINf) {
-    regs[ip->rd & (kNumGprs - 1)] =
-        regs[ip->rs1 & (kNumGprs - 1)] >> (ip->imm & 31);
-    SB_NEXT_FAST();
-  }
-  SB_CASE(SarINf) {
-    regs[ip->rd & (kNumGprs - 1)] = static_cast<u32>(
-        static_cast<i32>(regs[ip->rs1 & (kNumGprs - 1)]) >> (ip->imm & 31));
-    SB_NEXT_FAST();
-  }
-  SB_CASE(MulINf) {
-    regs[ip->rd & (kNumGprs - 1)] = regs[ip->rs1 & (kNumGprs - 1)] * ip->imm;
-    cyc += mul_cost;
-    SB_NEXT_FAST();
-  }
-
-  // --- fused compare-and-branch twins (fast-mode only; see
-  // SbClass::kCmpJz). The compare's flags are set exactly (they are live
-  // past the branch) and the branch condition is evaluated straight from
-  // the operands via the standard flag identities. ip is advanced onto the
-  // Jcc tail so ip->imm is the branch target; in fast mode pc is already
-  // parked on the tail, making `pc += kInstrBytes` the fall-through. The
-  // tail's retire is this handler's ++icount, exactly as in the unfused
-  // branch handlers.
-#define SB_FUSED_CMP(jname, cond)                                            \
-  SB_CASE(Cmp##jname) {                                                      \
-    const u32 a = regs[ip->rs1 & (kNumGprs - 1)];                            \
-    const u32 b = regs[ip->rs2 & (kNumGprs - 1)];                            \
-    const u32 r = a - b;                                                     \
-    SB_SET_ZNCV(r == 0, r >> 31, a < b, ((a ^ b) & (a ^ r)) >> 31);          \
-    ++icount;                                                                \
-    ++ip;                                                                    \
-    if (cond) {                                                              \
-      pc = ip->imm;                                                          \
-      cyc += branch_cost;                                                    \
-      slot = 1;                                                              \
-    } else {                                                                 \
-      pc += kInstrBytes;                                                     \
-      slot = 0;                                                              \
-    }                                                                        \
-    goto tail_chain;                                                         \
-  }                                                                          \
-  SB_CASE(CmpI##jname) {                                                     \
-    const u32 a = regs[ip->rs1 & (kNumGprs - 1)];                            \
-    const u32 b = ip->imm;                                                   \
-    const u32 r = a - b;                                                     \
-    SB_SET_ZNCV(r == 0, r >> 31, a < b, ((a ^ b) & (a ^ r)) >> 31);          \
-    ++icount;                                                                \
-    ++ip;                                                                    \
-    if (cond) {                                                              \
-      pc = ip->imm;                                                          \
-      cyc += branch_cost;                                                    \
-      slot = 1;                                                              \
-    } else {                                                                 \
-      pc += kInstrBytes;                                                     \
-      slot = 0;                                                              \
-    }                                                                        \
-    goto tail_chain;                                                         \
-  }
-
-  SB_FUSED_CMP(Jz, r == 0)
-  SB_FUSED_CMP(Jnz, r != 0)
-  SB_FUSED_CMP(Jb, a < b)
-  SB_FUSED_CMP(Jae, a >= b)
-  SB_FUSED_CMP(Jbe, a <= b)
-  SB_FUSED_CMP(Ja, a > b)
-  SB_FUSED_CMP(Jl, static_cast<i32>(a) < static_cast<i32>(b))
-  SB_FUSED_CMP(Jge, static_cast<i32>(a) >= static_cast<i32>(b))
-  SB_FUSED_CMP(Jle, static_cast<i32>(a) <= static_cast<i32>(b))
-  SB_FUSED_CMP(Jg, static_cast<i32>(a) > static_cast<i32>(b))
-#undef SB_FUSED_CMP
-
-  // --- branch handlers: tail-only (branches terminate block decode) ---
-  SB_CASE(Jmp) {
-    ++icount;
-    pc = ip->imm;
-    cyc += branch_cost;
-    slot = 1;
-    goto tail_chain;
-  }
-  SB_CASE(JmpR) {
-    ++icount;
-    pc = regs[ip->rs1 & (kNumGprs - 1)];
-    cyc += branch_cost;
-    goto tail_dynamic;
-  }
-  SB_CASE(Jz) {
-    ++icount;
-    if (psw & Psw::kZ) {
-      pc = ip->imm;
-      cyc += branch_cost;
-      slot = 1;
-    } else {
-      pc += kInstrBytes;
-      slot = 0;
-    }
-    goto tail_chain;
-  }
-  SB_CASE(Jnz) {
-    ++icount;
-    if (!(psw & Psw::kZ)) {
-      pc = ip->imm;
-      cyc += branch_cost;
-      slot = 1;
-    } else {
-      pc += kInstrBytes;
-      slot = 0;
-    }
-    goto tail_chain;
-  }
-  SB_CASE(Jb) {
-    ++icount;
-    if (psw & Psw::kC) {
-      pc = ip->imm;
-      cyc += branch_cost;
-      slot = 1;
-    } else {
-      pc += kInstrBytes;
-      slot = 0;
-    }
-    goto tail_chain;
-  }
-  SB_CASE(Jae) {
-    ++icount;
-    if (!(psw & Psw::kC)) {
-      pc = ip->imm;
-      cyc += branch_cost;
-      slot = 1;
-    } else {
-      pc += kInstrBytes;
-      slot = 0;
-    }
-    goto tail_chain;
-  }
-  SB_CASE(Jbe) {
-    ++icount;
-    if ((psw & Psw::kC) || (psw & Psw::kZ)) {
-      pc = ip->imm;
-      cyc += branch_cost;
-      slot = 1;
-    } else {
-      pc += kInstrBytes;
-      slot = 0;
-    }
-    goto tail_chain;
-  }
-  SB_CASE(Ja) {
-    ++icount;
-    if (!(psw & Psw::kC) && !(psw & Psw::kZ)) {
-      pc = ip->imm;
-      cyc += branch_cost;
-      slot = 1;
-    } else {
-      pc += kInstrBytes;
-      slot = 0;
-    }
-    goto tail_chain;
-  }
-  SB_CASE(Jl) {
-    ++icount;
-    if (!!(psw & Psw::kN) != !!(psw & Psw::kV)) {
-      pc = ip->imm;
-      cyc += branch_cost;
-      slot = 1;
-    } else {
-      pc += kInstrBytes;
-      slot = 0;
-    }
-    goto tail_chain;
-  }
-  SB_CASE(Jge) {
-    ++icount;
-    if (!!(psw & Psw::kN) == !!(psw & Psw::kV)) {
-      pc = ip->imm;
-      cyc += branch_cost;
-      slot = 1;
-    } else {
-      pc += kInstrBytes;
-      slot = 0;
-    }
-    goto tail_chain;
-  }
-  SB_CASE(Jle) {
-    ++icount;
-    if ((psw & Psw::kZ) || (!!(psw & Psw::kN) != !!(psw & Psw::kV))) {
-      pc = ip->imm;
-      cyc += branch_cost;
-      slot = 1;
-    } else {
-      pc += kInstrBytes;
-      slot = 0;
-    }
-    goto tail_chain;
-  }
-  SB_CASE(Jg) {
-    ++icount;
-    if (!(psw & Psw::kZ) && (!!(psw & Psw::kN) == !!(psw & Psw::kV))) {
-      pc = ip->imm;
-      cyc += branch_cost;
-      slot = 1;
-    } else {
-      pc += kInstrBytes;
-      slot = 0;
-    }
-    goto tail_chain;
-  }
-
-  SB_CASE(Generic) {
-    // Anything without a native handler: loads/stores, stack ops, div,
-    // system/privileged ops, Call/Ret. Runs through the reference execute()
-    // with the locals flushed, exactly as the block tier does.
-    flush();
-    Instr in;
-    in.op = ip->op;
-    in.rd = ip->rd;
-    in.rs1 = ip->rs1;
-    in.rs2 = ip->rs2;
-    in.imm = ip->imm;
-    const ExecResult er = execute(in);
-    ++stats_.instructions;
-    if (er.faulted) {
-      const u32 resume =
-          er.fault.kind == EventKind::kSoftInt ? pc + kInstrBytes : pc;
-      raise(er.fault, resume);
-      return {};
-    }
-    reload();  // pc now committed by execute(); icount includes this instr
-    // A generic op may have written memory (Call pushes, St stores...), so
-    // the "nothing since the entry guard could touch code pages" premise of
-    // the fast self-chain skip no longer holds; force the full chain guard.
-    fast = false;
-    if (++ip == end) goto tail_generic;
-    if (cyc >= stop) goto out_done;
-    if (icount >= instr_stop) goto out_done;
-    if (!pure) {
-      pa += kInstrBytes;
-      if (*version_ptr != version) goto out_resync;
-      if (paged) {
-        PAddr np = 0;
-        if (!mmu_.fetch_recheck(pc, cpl, np) || np != pa) goto out_resync;
-      }
-    }
-    cyc += fetch_cost;
-    ++memacc;
-    SB_DISPATCH();
-  }
-
-#if !VDBG_SB_THREADED
-  }
-  goto out_done;  // unreachable: every SbClass value has a case
-#endif
-
-next_instr:
-  // Slow-mode boundary (SB_NEXT routes here only when !fast). Ordering
-  // mirrors exec_block — tail check, budget/instr-stop, then revalidation —
-  // except that pure blocks replace the poll + recheck with the proven-hit
-  // count (see Mmu::count_proven_fetch_hits).
-  ++icount;
-  if (++ip == end) goto tail_fallthrough;
-  pc += kInstrBytes;
-  if (cyc >= stop) goto out_done;
-  if (icount >= instr_stop) goto out_done;
-  if (pure) {
-    tlb_pending += paged ? 1u : 0u;
-  } else {
-    pa += kInstrBytes;
-    if (*version_ptr != version) goto out_resync;
-    if (paged) {
-      PAddr np = 0;
-      if (!mmu_.fetch_recheck(pc, cpl, np) || np != pa) goto out_resync;
-    }
-  }
-  cyc += fetch_cost;
-  ++memacc;
-  SB_DISPATCH();
-
-tail_fallthrough:
-  // Straight-line tail (page edge or decode cap): the successor starts at
-  // pc+8 — possibly on the next page, which is fine because the chain guard
-  // checks the *target's* page version.
-  pc += kInstrBytes;
-  slot = 0;
-  goto tail_chain;
-
-tail_generic:
-  switch (sb->tail) {
-    case SbTail::kFallthrough:
-      slot = 0;  // pc already committed to the fall-through by execute()
-      goto tail_chain;
-    case SbTail::kCall:
-      slot = 1;  // pc == the constant call target
-      goto tail_chain;
-    case SbTail::kDynamic:
-      goto tail_dynamic;
-    default:
-      // kStop: interrupt/halt/trap-flag/run-limit state may have changed;
-      // run() must re-evaluate its loop conditions.
-      goto out_done;
-  }
-
-tail_chain:
-  // Direct-chain follow (tb_find_fast on a resolved edge). Guard order
-  // matters for accounting: the budget/instr checks and the target's
-  // validity + page-version test move no counters; the fetch recheck then
-  // performs exactly the accounting the dispatcher's entry path would.
-  if (cyc >= stop) goto out_done;
-  if (icount >= instr_stop) goto out_done;
-  {
-    SuperBlock* t = sb->next[slot];
-    if (t == nullptr) goto out_request_chain;
-    if (t == sb && fast && pc == entry_va) {
-      // Proven self-chain (the tight-loop case): this block just ran in
-      // fast mode, so its body was all-native — since this iteration's own
-      // entry guard validated (entry_va -> pa, page version, TLB entry,
-      // validity), nothing has executed that could write memory, touch the
-      // TLB or invalidate a block (a generic tail clears `fast`). With
-      // pc == entry_va the next entry is the very same fetch, so the full
-      // guard would provably succeed with a TLB hit; charge that hit and
-      // re-enter from the captured register constants. Same argument as
-      // count_proven_fetch_hits, extended around the back edge.
-      tlb_pending += paged ? 1u : 0u;
-      ++chains_batch;
-      const Cycles worst = cyc + f_worst;
-      if (worst < stop && icount + f_n < instr_stop) {
-        ip = f_begin;
-        cyc += f_charge;
-        memacc += f_n;
-        tlb_pending += f_tlb;
-        icount += f_icount;
-        pc += f_pcstep;
-        SB_DISPATCH_FAST();
-      }
-      goto enter_block;  // budget-tight: take the checked slow entry
-    }
-    if (!t->valid || *t->version_ptr != t->version) {
-      // Stale target (self-modified or evicted): lazy unchain, then let the
-      // dispatcher rebuild it.
-      SuperblockCache::unchain_edge(*sb, slot, sbc_stats_);
-      goto out_request_chain;
-    }
-    if (pc & (kInstrBytes - 1)) goto out_request_chain;  // dispatcher faults
-    PAddr np = 0;
-    if (paged) {
-      if (!mmu_.fetch_recheck(pc, cpl, np)) goto out_request_chain;
-    } else {
-      if (!mem_.contains(pc, kInstrBytes)) goto out_request_chain;
-      np = pc;
-    }
-    if (np != t->pa) {
-      // The constant virtual target now maps to a different physical block:
-      // sever the edge and hand the dispatcher the already-accounted
-      // translation so it is not charged twice.
-      SuperblockCache::unchain_edge(*sb, slot, sbc_stats_);
-      flush();
-      out.kind = SbRun::kDispatchAt;
-      out.pa = np;
-      out.from = sb;
-      out.slot = slot;
-      return out;
-    }
-    ++chains_batch;
-    sb = t;
-  }
-  goto enter_block;
-
-tail_dynamic:
-  // Pure dynamic branch (JmpR/CallR/Ret): dispatch may continue without
-  // re-entering run(), but the target is not a translation-time constant,
-  // so no chain edge exists or is requested.
-  if (cyc >= stop) goto out_done;
-  if (icount >= instr_stop) goto out_done;
-  flush();
-  out.kind = SbRun::kDispatch;
-  return out;
-
-out_request_chain:
-  flush();
-  out.kind = SbRun::kDispatch;
-  out.from = sb;
-  out.slot = slot;
-  return out;
-
-out_done:
-  flush();
-  out.kind = SbRun::kDone;
-  return out;
-
-out_resync:
-  // Mid-block revalidation failed (page written or fetch remapped under an
-  // impure block): same recovery as exec_block — one slow-path step with
-  // reference accounting, then back to run().
-  flush();
-  step();
-  out.kind = SbRun::kDone;
-  return out;
-}
-
-#undef SB_CASE
-#undef SB_DISPATCH
-#undef SB_DISPATCH_FAST
-#undef SB_NEXT
-#undef SB_SET_ZNCV
-#undef VDBG_SB_THREADED
 
 void Cpu::raise(const Fault& f, u32 resume_pc) {
   if (f.vector == kVecPf && f.kind == EventKind::kException) {
@@ -1779,11 +886,9 @@ void Cpu::restore(SnapshotReader& r) {
   // machine runs exactly like a freshly stopped one.
   stop_requested_ = false;
   run_limit_ = ~Cycles{0};
-  // The block and superblock caches are derived from (possibly rolled-back)
-  // memory contents and page versions; drop both and let them rebuild —
-  // including every superblock chain edge, which may reference pre-rollback
-  // code. All cache states retire bit-identical architectural state, so
-  // this keeps replay exact.
+  // The block cache is derived from (possibly rolled-back) memory contents
+  // and page versions; drop it and let it rebuild. All cache states retire
+  // bit-identical architectural state, so this keeps replay exact.
   invalidate_block_cache();
 }
 

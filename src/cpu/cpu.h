@@ -19,7 +19,6 @@
 #include "cpu/mmu.h"
 #include "cpu/phys_mem.h"
 #include "cpu/profiler.h"
-#include "cpu/superblock.h"
 
 namespace vdbg::cpu {
 
@@ -48,9 +47,8 @@ enum class RunExit : u8 {
 };
 
 /// Counters exposed for tests and the benchmark harness. The architectural
-/// counters (everything except block_* and the superblock tier's SbcStats)
-/// are bit-identical across all three execution tiers: slow interpreter,
-/// block cache, and superblocks.
+/// counters (everything except block_*) are bit-identical across both
+/// execution tiers: slow interpreter and block cache.
 struct CpuStats {
   u64 instructions = 0;
   u64 mem_accesses = 0;
@@ -135,23 +133,16 @@ class Cpu {
   void set_block_cache_enabled(bool on) { block_cache_enabled_ = on; }
   bool block_cache_enabled() const { return block_cache_enabled_; }
 
-  // --- superblock tier (threaded dispatch above the block cache) ---
-  /// Runtime kill switch, layered under the block-cache switch: with the
-  /// block cache disabled this knob is moot (tier 2 promotes from tier 1).
-  /// Enabled (default), hot cached blocks are translated into threaded
-  /// superblocks with direct cross-block chaining (see superblock.h). All
-  /// three tiers produce bit-identical architectural state, cycles and
-  /// (non-telemetry) stats.
-  void set_superblocks_enabled(bool on) { superblocks_enabled_ = on; }
-  bool superblocks_enabled() const { return superblocks_enabled_; }
-  const SbcStats& sbc_stats() const { return sbc_stats_; }
+  /// No-op kept for the frozen perfbench/ program, which calls it and
+  /// compiles these sources unchanged. The tier it switched (threaded
+  /// superblocks) is gone; nothing else may call this.
+  void set_superblocks_enabled(bool) {}
 
-  /// Drops all decoded code in both tiers, severing every superblock chain
-  /// (snapshot restore). Code writes need no call here: PhysMem's page
-  /// versions make stale code unreachable (see cpu/phys_mem.h).
+  /// Drops all decoded code (snapshot restore). Code writes need no call
+  /// here: PhysMem's page versions make stale code unreachable (see
+  /// cpu/phys_mem.h).
   void invalidate_block_cache() {
     bcache_.invalidate_all(stats_.block_invalidations);
-    sbcache_.invalidate_all(sbc_stats_);
   }
 
   const CpuStats& stats() const { return stats_; }
@@ -161,10 +152,9 @@ class Cpu {
   PcProfiler& profiler() { return profiler_; }
   const PcProfiler& profiler() const { return profiler_; }
 
-  /// Registers cpu.core.*, cpu.block.*, cpu.sbc.* and cpu.tlb.* counters.
-  /// The block and superblock caches are derived state rebuilt after a
-  /// snapshot restore, so their counters register as not replay-exact;
-  /// everything else is.
+  /// Registers cpu.core.*, cpu.block.* and cpu.tlb.* counters. The block
+  /// cache is derived state rebuilt after a snapshot restore, so its
+  /// counters register as not replay-exact; everything else is.
   void register_metrics(MetricsRegistry& reg) {
     reg.add_counter("cpu.core.instructions", &stats_.instructions);
     reg.add_counter("cpu.core.mem_accesses", &stats_.mem_accesses);
@@ -183,25 +173,6 @@ class Cpu {
         [this] {
           const u64 total = stats_.block_hits + stats_.block_builds;
           return total ? double(stats_.block_hits) / double(total) : 0.0;
-        },
-        /*replay_exact=*/false);
-    reg.add_counter("cpu.sbc.translations", &sbc_stats_.translations,
-                    /*replay_exact=*/false);
-    reg.add_counter("cpu.sbc.hits", &sbc_stats_.hits,
-                    /*replay_exact=*/false);
-    reg.add_counter("cpu.sbc.chains_taken", &sbc_stats_.chains,
-                    /*replay_exact=*/false);
-    reg.add_counter("cpu.sbc.unchains", &sbc_stats_.unchains,
-                    /*replay_exact=*/false);
-    reg.add_counter("cpu.sbc.invalidations", &sbc_stats_.invalidations,
-                    /*replay_exact=*/false);
-    // Fraction of superblock entries that skipped the dispatcher via a
-    // direct chain — the health number for cross-block chaining.
-    reg.add_gauge(
-        "cpu.sbc.chain_rate",
-        [this] {
-          const u64 total = sbc_stats_.hits + sbc_stats_.chains;
-          return total ? double(sbc_stats_.chains) / double(total) : 0.0;
         },
         /*replay_exact=*/false);
     profiler_.register_metrics(reg);
@@ -239,34 +210,11 @@ class Cpu {
   /// Fast path: one translate at block entry, then dispatch the decoded
   /// block with per-instruction budget/content/translation revalidation;
   /// chains across pure-branch block tails without re-entering run().
-  /// When superblocks are enabled this is also the tier-2 dispatcher: it
-  /// looks the physical pc up in the superblock cache first, promotes hot
-  /// CachedBlocks, and installs chain edges the executor requests.
   void run_cached(Cycles target);
   /// Executes a cached block starting at st_.pc / pa0. Returns true iff
   /// dispatch may chain straight into the next block (tail op left every
   /// run()-loop condition unchanged and no fault/resync occurred).
   bool exec_block(const CachedBlock& blk, PAddr pa0, Cycles stop);
-
-  /// How a superblock execution returned control to the dispatcher.
-  struct SbRun {
-    enum Kind : u8 {
-      kDone,        // return to run(): fault, terminator, budget, or stop
-      kDispatch,    // continue dispatch at st_.pc (full entry resolution)
-      kDispatchAt,  // like kDispatch but the fetch translation is already
-                    // done and accounted: dispatch directly at `pa`
-    };
-    Kind kind = kDone;
-    PAddr pa = 0;
-    /// When set, the executor wants a chain edge installed: from->next[slot]
-    /// should point at whatever superblock the dispatcher resolves next.
-    SuperBlock* from = nullptr;
-    u8 slot = 0;
-  };
-  /// Tier-2 executor: threaded dispatch over a translated superblock,
-  /// following direct chains internally. Entry fetch translation + page
-  /// version check are the caller's (or the chain guard's) responsibility.
-  SbRun exec_superblock(SuperBlock* sb, Cycles stop);
 
   /// Raises an event produced by guest execution: diverts to the hook when
   /// installed, else delivers architecturally.
@@ -295,13 +243,7 @@ class Cpu {
   CpuState st_{};
   Mmu mmu_;         // snap:skip(serialized by Machine in its own kMmu section)
   BlockCache bcache_;  // snap:skip(derived cache; dropped on restore)
-  SuperblockCache sbcache_;  // snap:skip(derived cache; dropped on restore)
-  SbcStats sbc_stats_{};  // snap:skip(telemetry; excluded like block_*)
   bool block_cache_enabled_ = true;  // snap:skip(host tuning knob)
-  bool superblocks_enabled_ = true;  // snap:skip(host tuning knob)
-  /// Handler table for exec_superblock's computed-goto dispatch, captured
-  /// once at construction (null without the GNU labels-as-values extension).
-  const void* const* sb_labels_ = nullptr;  // snap:skip(host dispatch table)
   TrapHook* hook_ = nullptr;  // snap:skip(wiring; reinstalled by the monitor)
   /// One bit per port, 64 ports per word (0 = denied).
   std::array<u64, 1024> io_bitmap_{};

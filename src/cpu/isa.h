@@ -305,39 +305,4 @@ inline bool is_pure_branch(Opcode op) {
   }
 }
 
-/// Pure branches whose target is a translation-time constant (`imm`). These
-/// are the ops the superblock tier can chain directly: the successor's
-/// virtual entry is the same on every execution, so a resolved
-/// superblock-to-superblock pointer (guarded by the target's page version
-/// and an inlined fetch-translation check) replays the dispatcher's full
-/// lookup exactly. Conditional branches are *biased* direct branches: both
-/// edges (taken = imm, fall-through = pc+8) are constant and each gets its
-/// own chain slot.
-inline bool is_direct_branch(Opcode op) {
-  switch (op) {
-    case Opcode::kJmp:
-    case Opcode::kJz:
-    case Opcode::kJnz:
-    case Opcode::kJb:
-    case Opcode::kJae:
-    case Opcode::kJbe:
-    case Opcode::kJa:
-    case Opcode::kJl:
-    case Opcode::kJge:
-    case Opcode::kJle:
-    case Opcode::kJg:
-    case Opcode::kCall:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// Pure branches whose target is only known at run time (register or stack
-/// value). Chainable at the dispatcher level (run_cached's loop) but never
-/// via a direct superblock pointer.
-inline bool is_dynamic_branch(Opcode op) {
-  return op == Opcode::kJmpR || op == Opcode::kCallR || op == Opcode::kRet;
-}
-
 }  // namespace vdbg::cpu

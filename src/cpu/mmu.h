@@ -103,16 +103,6 @@ class Mmu {
     return true;
   }
 
-  /// Accounting shortcut for the superblock tier's *pure* blocks: every
-  /// instruction of such a block is register-only (no loads/stores, no
-  /// device or hook calls), so nothing between two instructions can evict
-  /// the code page's TLB entry, change permissions, or move the page out of
-  /// physical memory — the per-instruction fetch_recheck() is proven to hit
-  /// and its only observable effect is its hit count. This bumps the same
-  /// counter the elided rechecks would have, keeping cpu.tlb.* bit-identical
-  /// to the block-cache and slow paths.
-  void count_proven_fetch_hits(u64 n) { hits_ += n; }
-
   // --- statistics ---
   u64 tlb_hits() const { return hits_; }
   u64 tlb_misses() const { return misses_; }

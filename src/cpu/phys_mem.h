@@ -21,14 +21,13 @@
 // Every write — CPU store, device DMA, monitor emulation, debugger poke —
 // bumps a per-page version counter. This is the only coherence mechanism
 // for decoded code; writers never notify the CPU. The contract: decoded
-// code (cpu/block_cache.h, cpu/superblock.h) records its code page's
-// version at decode, and every path into it re-checks that version before
-// running an instruction from it — block-cache and superblock lookup, the
-// per-instruction poll inside a block (and at impure superblock
-// boundaries), and the chain guard on a chained target. A write from
-// outside the running block (DMA, a monitor exit, a debugger poke while
-// frozen) always reaches the CPU through one of those checks, so stale
-// decoded code can never execute no matter which agent wrote the page.
+// code (cpu/block_cache.h) records its code page's version at decode, and
+// every path into it re-checks that version before running an instruction
+// from it — block-cache lookup and the per-instruction poll inside a
+// block. A write from outside the running block (DMA, a monitor exit, a
+// debugger poke while frozen) always reaches the CPU through one of those
+// checks, so stale decoded code can never execute no matter which agent
+// wrote the page.
 #pragma once
 
 #include <atomic>

@@ -106,12 +106,12 @@ void Lvmm::emulate_guest_iret() {
     reflect(Fault::gp(5), s.pc);
     return;
   }
-  s.pc = rpc;
   s.regs[cpu::kSp] = rsp;
   vcpu_.vcpl = static_cast<u8>(new_vcpl);
   vcpu_.vif = rpsw & Psw::kIf;
   s.psw = (rpsw & Psw::kFlagsMask) | VcpuState::physical_ring(vcpu_.vcpl) |
           Psw::kIf;
+  retire_emulated(rpc);
   try_inject();
 }
 

@@ -27,7 +27,7 @@ void Lvmm::emulate_io(const Instr& in, u16 port) {
     trace(TraceKind::kIoWrite, 0, port, reg(in.rs1));
     io_emulated_write(port, reg(in.rs1));
   }
-  s.pc += cpu::kInstrBytes;
+  retire_emulated(s.pc + cpu::kInstrBytes);
   try_inject();
 }
 

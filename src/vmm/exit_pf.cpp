@@ -78,8 +78,8 @@ bool Lvmm::decode_faulting_store(ExitContext& ctx, StoreInfo& out) {
 void Lvmm::handle_pt_write(PAddr target_pa, const StoreInfo& store) {
   shadow_->pt_write(target_pa, store.size, store.value);
   machine_.cpu().mmu().flush_tlb();  // derived translations changed
-  st().pc += cpu::kInstrBytes;
   charge(cfg_.costs.pt_write_emulate);
+  retire_emulated(st().pc + cpu::kInstrBytes);
   ++stats_.pt_writes;
   trace(TraceKind::kPtWrite, 0, 0, target_pa);
 }
@@ -87,7 +87,8 @@ void Lvmm::handle_pt_write(PAddr target_pa, const StoreInfo& store) {
 void Lvmm::handle_watch_write(const Fault& f, const StoreInfo& store) {
   // Emulate the store (post-write watch semantics, as GDB reports), then
   // either notify the debugger (range hit) or resume silently (same page,
-  // unwatched bytes).
+  // unwatched bytes). A hit reports the watchpoint, never a step stop too:
+  // one stop reply per resume.
   auto& s = st();
   PAddr pa = 0;
   if (!guest_va_to_pa(store.ea, /*write=*/true, pa)) {
@@ -96,11 +97,12 @@ void Lvmm::handle_watch_write(const Fault& f, const StoreInfo& store) {
   }
   shadow_->pt_write(pa, store.size, store.value);  // invalidates PT frames
   machine_.cpu().mmu().flush_tlb();
-  s.pc += cpu::kInstrBytes;
   charge(cfg_.costs.pt_write_emulate);
 
+  const u32 next_pc = s.pc + cpu::kInstrBytes;
   for (const auto& w : watches_) {
     if (store.ea < w.va + w.len && w.va < store.ea + store.size) {
+      s.pc = next_pc;
       watch_hit_ =
           WatchHit{std::max(store.ea, w.va), store.value, store.size, s.pc};
       if (debug_) {
@@ -110,6 +112,7 @@ void Lvmm::handle_watch_write(const Fault& f, const StoreInfo& store) {
     }
   }
   // Unwatched bytes of a watched page: silent single-store emulation.
+  retire_emulated(next_pc);
 }
 
 // charge:exempt(debugger bookkeeping, not a guest exit path)

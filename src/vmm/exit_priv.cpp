@@ -20,21 +20,22 @@ void Lvmm::emulate_privileged(const Instr& in) {
   switch (in.op) {
     case Opcode::kCli:
       vcpu_.vif = false;
-      s.pc += cpu::kInstrBytes;
+      retire_emulated(s.pc + cpu::kInstrBytes);
       return;
     case Opcode::kSti:
       vcpu_.vif = true;
-      s.pc += cpu::kInstrBytes;
+      retire_emulated(s.pc + cpu::kInstrBytes);
       try_inject();
       return;
     case Opcode::kHlt:
-      s.pc += cpu::kInstrBytes;
-      if (vcpu_.vif && vpic_.intr_asserted()) {
-        try_inject();
-        return;
+      // Decide the halt before retiring: a step stop can resume the guest
+      // (a transparent step-over) and inject from inside retire_emulated.
+      if (!vcpu_.vif || !vpic_.intr_asserted()) {
+        vcpu_.halted = true;
+        machine_.cpu().set_halted(true);
       }
-      vcpu_.halted = true;
-      machine_.cpu().set_halted(true);
+      retire_emulated(s.pc + cpu::kInstrBytes);
+      try_inject();
       return;
     case Opcode::kIret:
       emulate_guest_iret();
@@ -42,7 +43,7 @@ void Lvmm::emulate_privileged(const Instr& in) {
     case Opcode::kLidt:
       vcpu_.vidt_base = reg(in.rs1);
       vcpu_.vidt_count = in.imm;
-      s.pc += cpu::kInstrBytes;
+      retire_emulated(s.pc + cpu::kInstrBytes);
       return;
     case Opcode::kMovToCr: {
       const u8 crn = in.rd;
@@ -58,7 +59,7 @@ void Lvmm::emulate_privileged(const Instr& in) {
                                                  : shadow_->identity_pd();
         machine_.cpu().mmu().flush_tlb();
       }
-      s.pc += cpu::kInstrBytes;
+      retire_emulated(s.pc + cpu::kInstrBytes);
       return;
     }
     case Opcode::kMovFromCr: {
@@ -68,13 +69,13 @@ void Lvmm::emulate_privileged(const Instr& in) {
         return;
       }
       reg(in.rd) = vcpu_.vcr[crn];
-      s.pc += cpu::kInstrBytes;
+      retire_emulated(s.pc + cpu::kInstrBytes);
       return;
     }
     case Opcode::kInvlpg:
       shadow_->invlpg(reg(in.rs1));
       machine_.cpu().mmu().invlpg(reg(in.rs1));
-      s.pc += cpu::kInstrBytes;
+      retire_emulated(s.pc + cpu::kInstrBytes);
       return;
     default:
       reflect(Fault::gp(0), s.pc);

@@ -173,7 +173,8 @@ void GuestMemory::save(SnapshotWriter& w) const {
   w.put_u64(stats_.flushes);
 }
 
-void GuestMemory::restore(SnapshotReader& r) {
+bool GuestMemory::restore(SnapshotReader& r) {
+  bool in_range = true;
   for (Entry& e : entries_) {
     e.valid = r.get_bool();
     e.writable = r.get_bool();
@@ -181,6 +182,10 @@ void GuestMemory::restore(SnapshotReader& r) {
     e.pfn = r.get_u32();
     e.pde_addr = r.get_u32();
     e.pte_addr = r.get_u32();
+    if (e.valid && (u64{e.pfn} << cpu::kPageBits) >= guest_mem_limit_) {
+      e.valid = false;  // never let the hit path see it, even if resumed
+      in_range = false;
+    }
   }
   stats_.lookups = r.get_u64();
   stats_.hits = r.get_u64();
@@ -188,6 +193,7 @@ void GuestMemory::restore(SnapshotReader& r) {
   stats_.fills = r.get_u64();
   stats_.invalidations = r.get_u64();
   stats_.flushes = r.get_u64();
+  return in_range && r.ok();
 }
 
 }  // namespace vdbg::vmm

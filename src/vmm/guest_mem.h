@@ -95,9 +95,12 @@ class GuestMemory final : public TranslationListener {
   /// Snapshot support. The vTLB is serialized exactly (like the hardware
   /// TLB): a hit and a walk charge different costs, so rebuilding on
   /// restore would make a replay's cycle stream diverge. The kill switch
-  /// and hooks are host wiring and are left alone.
+  /// and hooks are host wiring and are left alone. restore() returns false
+  /// when a valid entry maps a frame at or beyond the guest memory limit:
+  /// the hit path trusts `pfn`, so such a stream is rejected and the entry
+  /// dropped.
   void save(SnapshotWriter& w) const;
-  void restore(SnapshotReader& r);
+  bool restore(SnapshotReader& r);
 
   // --- TranslationListener (wired to the owner's ShadowMmu) ---
   void on_tlb_flush() override { flush_cache(); }

@@ -376,6 +376,15 @@ void Lvmm::resume_guest() {
   try_inject();
 }
 
+// charge:exempt(completion helper; every caller charges its emulation)
+void Lvmm::retire_emulated(u32 next_pc) {
+  st().pc = next_pc;
+  if (debug_ && debug_->wants_step()) {
+    st().set_tf(false);
+    freeze_guest(DebugDelegate::StopReason::kStep);
+  }
+}
+
 void Lvmm::arm_single_step() { st().set_tf(true); }
 
 void Lvmm::disarm_single_step() { st().set_tf(false); }
@@ -531,14 +540,21 @@ bool Lvmm::restore(SnapshotReader& r) {
     for (u32& h : k.hist) h = r.get_u32();
   }
 
+  // Counts are bounded by what remains of the section (4 bytes per parked
+  // IRQ, 8 per watch range) and IRQ numbers by the two 8-line PICs, so a
+  // corrupt stream is rejected instead of driving the PIC out of range.
   masked_pending_.clear();
   const u64 nmasked = r.get_u64();
-  for (u64 i = 0; i < nmasked && r.ok(); ++i) {
-    masked_pending_.insert(r.get_u32());
+  if (nmasked > r.section_remaining() / 4) return false;
+  for (u64 i = 0; i < nmasked; ++i) {
+    const u32 irq = r.get_u32();
+    if (irq >= 16) return false;
+    masked_pending_.insert(irq);
   }
   watches_.clear();
   const u64 nwatch = r.get_u64();
-  for (u64 i = 0; i < nwatch && r.ok(); ++i) {
+  if (nwatch > r.section_remaining() / 8) return false;
+  for (u64 i = 0; i < nwatch; ++i) {
     WatchRange wr{};
     wr.va = r.get_u32();
     wr.len = r.get_u32();
@@ -573,8 +589,7 @@ bool Lvmm::restore(SnapshotReader& r) {
   if (!r.open_section(SnapTag::kShadowMmu)) return false;
   shadow_->restore(r);
   if (!r.open_section(SnapTag::kGuestMem)) return false;
-  gmem_->restore(r);
-  return r.ok();
+  return gmem_->restore(r);
 }
 
 // --------------------------------------------------------------------------

@@ -255,6 +255,12 @@ class Lvmm : public cpu::TrapHook {
   void handle_watch_write(const cpu::Fault& f, const StoreInfo& store);
   bool decode_faulting_store(ExitContext& ctx, StoreInfo& out);
   void sync_watch_pages();
+  /// Completes an emulated guest instruction: moves pc to `next_pc` and,
+  /// when the debugger is single-stepping, ends the step there. The
+  /// emulated instruction is the whole step, so the stop lands on the next
+  /// instruction with exactly one instruction retired (KVM's
+  /// kvm_skip_emulated_instruction pattern).
+  void retire_emulated(u32 next_pc);
 
   /// Injects an event through the guest's virtual IDT. `resume_pc` is the
   /// return address pushed in the frame.

@@ -55,7 +55,7 @@ TEST(Cli, HelpAndUnknownCommand) {
 TEST(Cli, ExitsSummaryLeadsWithExecutionTier) {
   CliRig rig;
   const auto t = rig.run_script("run 10\nexits\n");
-  EXPECT_NE(t.find("tier: superblock"), std::string::npos);
+  EXPECT_NE(t.find("tier: block-cache"), std::string::npos);
   EXPECT_NE(t.find("kind"), std::string::npos);
 }
 

@@ -5,16 +5,16 @@
 //    programs executed both by the VX32 interpreter and by a tiny
 //    independent reference model of the ISA semantics; final register files
 //    and memory effects must agree exactly.
-//  * The three-tier lockstep fuzz — the superblock tier (tier 2) and the
-//    block-cache tier (tier 1) versus the kill-switched slow interpreter
-//    (tier 0), run in lockstep over random programs with branches, calls,
-//    software interrupts, self-modifying stores and deterministically
-//    injected external interrupts. Every slice, the architectural state,
-//    cycle count and (non-telemetry) stats of all three CPUs must be
-//    bit-identical; that is the fast paths' correctness contract.
-//  * Directed superblock cases: chain unchaining under self-modifying code
-//    and breakpoint patching, chaining across a page-boundary block cut,
-//    and the generic-tail self-chain guard.
+//  * The two-tier lockstep fuzz — the block-cache tier (tier 1) versus the
+//    kill-switched slow interpreter (tier 0), run in lockstep over random
+//    programs with branches, calls, software interrupts, self-modifying
+//    stores and deterministically injected external interrupts. Every
+//    slice, the architectural state, cycle count and (non-telemetry) stats
+//    of both CPUs must be bit-identical; that is the fast path's
+//    correctness contract.
+//  * Directed cached-block cases: self-modifying guest stores and
+//    breakpoint patching of a hot loop, a loop cut by a page boundary, and
+//    a self-call whose pushes walk into its own code page.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -325,7 +325,7 @@ void emit_fuzz_program(Assembler& a, Rng& rng, unsigned len) {
   a.hlt();
 }
 
-/// Asserts rig `b` (a fast tier) is architecturally bit-identical to the
+/// Asserts rig `b` (the block-cache tier) is architecturally bit-identical to the
 /// reference rig `a` (the slow interpreter) at a run-slice boundary.
 void expect_rigs_identical(DiffRig& a, DiffRig& b, int trial, int slice,
                            const char* tier) {
@@ -344,8 +344,8 @@ void expect_rigs_identical(DiffRig& a, DiffRig& b, int trial, int slice,
   ASSERT_EQ(a.cpu.halted(), b.cpu.halted());
   ASSERT_EQ(a.intr.pending(), b.intr.pending());
 
-  // Architectural stats must match exactly; block_* and the sbc stats are
-  // fast-path-only telemetry and excluded by contract.
+  // Architectural stats must match exactly; block_* are fast-path-only
+  // telemetry and excluded by contract.
   const auto& ta = a.cpu.stats();
   const auto& tb = b.cpu.stats();
   ASSERT_EQ(ta.instructions, tb.instructions)
@@ -373,14 +373,13 @@ u64 env_u64(const char* name, u64 fallback) {
   return (end != nullptr && *end == '\0') ? parsed : fallback;
 }
 
-TEST(CpuDifferential, ThreeTierLockstepFuzz) {
+TEST(CpuDifferential, TwoTierLockstepFuzz) {
   const int trials = static_cast<int>(env_u64("VDBG_FUZZ_TRIALS", 30));
   Rng rng(env_u64("VDBG_FUZZ_SEED", 20260806));
   u64 total_hits = 0, total_builds = 0, total_invals = 0;
-  cpu::SbcStats sb_totals;
   for (int trial = 0; trial < trials; ++trial) {
-    // One program image, loaded into three rigs: tier 0 (slow interpreter),
-    // tier 1 (block cache only) and tier 2 (superblocks on top).
+    // One program image, loaded into two rigs: tier 0 (slow interpreter)
+    // and tier 1 (block cache).
     Assembler a(0x1000);
     a.movi(cpu::kR0, l("idt"));
     a.lidt(cpu::kR0, 64);
@@ -393,10 +392,9 @@ TEST(CpuDifferential, ThreeTierLockstepFuzz) {
     emit_fuzz_idt(a);
     auto prog = a.finalize();
 
-    DiffRig interp, block, super;
+    DiffRig interp, block;
     interp.cpu.set_block_cache_enabled(false);
-    block.cpu.set_superblocks_enabled(false);
-    for (DiffRig* r : {&interp, &block, &super}) {
+    for (DiffRig* r : {&interp, &block}) {
       prog.load(r->mem);
       r->cpu.state().pc = 0x1000;
     }
@@ -404,18 +402,14 @@ TEST(CpuDifferential, ThreeTierLockstepFuzz) {
     for (int slice = 0; slice < 60; ++slice) {
       // Deterministic external interrupt injection between slices.
       if (slice % 5 == 2) {
-        for (DiffRig* r : {&interp, &block, &super}) {
+        for (DiffRig* r : {&interp, &block}) {
           r->intr.assert_vector(kExtVector);
         }
       }
       const auto ra = interp.cpu.run(997);
       const auto rb = block.cpu.run(997);
-      const auto rc = super.cpu.run(997);
       ASSERT_EQ(ra, rb) << "trial " << trial << " slice " << slice;
-      ASSERT_EQ(ra, rc) << "trial " << trial << " slice " << slice;
       expect_rigs_identical(interp, block, trial, slice, "block-cache");
-      if (::testing::Test::HasFatalFailure()) return;
-      expect_rigs_identical(interp, super, trial, slice, "superblock");
       if (::testing::Test::HasFatalFailure()) return;
 
       // Periodic full-memory compare (self-modifying stores and stack
@@ -423,33 +417,20 @@ TEST(CpuDifferential, ThreeTierLockstepFuzz) {
       if (slice % 7 == 0) {
         const auto ma = dump_mem(interp.mem);
         const auto mb = dump_mem(block.mem);
-        const auto mc = dump_mem(super.mem);
         ASSERT_EQ(ma, mb) << "trial " << trial << " slice " << slice;
-        ASSERT_EQ(ma, mc) << "trial " << trial << " slice " << slice;
       }
-      if (interp.cpu.shutdown()) break;  // triple fault: all dead (checked)
+      if (interp.cpu.shutdown()) break;  // triple fault: both dead (checked)
     }
-    for (DiffRig* r : {&block, &super}) {
-      ASSERT_EQ(dump_mem(interp.mem), dump_mem(r->mem)) << "trial " << trial;
-    }
+    ASSERT_EQ(dump_mem(interp.mem), dump_mem(block.mem)) << "trial " << trial;
     total_hits += block.cpu.stats().block_hits;
     total_builds += block.cpu.stats().block_builds;
     total_invals += block.cpu.stats().block_invalidations;
-    const auto& sbc = super.cpu.sbc_stats();
-    sb_totals.translations += sbc.translations;
-    sb_totals.hits += sbc.hits;
-    sb_totals.chains += sbc.chains;
-    sb_totals.unchains += sbc.unchains;
-    sb_totals.invalidations += sbc.invalidations;
     EXPECT_EQ(0u, interp.cpu.stats().block_hits);
     EXPECT_EQ(0u, interp.cpu.stats().block_builds);
-    // Tier 1's superblock switch is off: its sbc stats must stay zero.
-    EXPECT_EQ(0u, block.cpu.sbc_stats().translations);
-    EXPECT_EQ(0u, block.cpu.sbc_stats().hits);
   }
-  // The fuzz must actually have exercised the fast paths and both
-  // invalidation mechanisms, or the whole comparison is vacuous. The rare
-  // events (self-modifying stores, superblock drops) need a full-size run
+  // The fuzz must actually have exercised the fast path and its
+  // invalidation mechanism, or the whole comparison is vacuous. The rare
+  // events (self-modifying stores) need a full-size run
   // to be guaranteed; a shrunk VDBG_FUZZ_TRIALS repro run skips the
   // coverage audit.
   if (trials < 30) return;
@@ -457,11 +438,6 @@ TEST(CpuDifferential, ThreeTierLockstepFuzz) {
   EXPECT_GT(total_builds, 0u);
   EXPECT_GT(total_invals, 0u) << "no self-modifying store invalidated a "
                                  "cached block across all trials";
-  EXPECT_GT(sb_totals.translations, 0u) << "no hot block was ever promoted";
-  EXPECT_GT(sb_totals.hits, 0u) << "no superblock was ever dispatched";
-  EXPECT_GT(sb_totals.chains, 0u) << "no direct chain was ever followed";
-  EXPECT_GT(sb_totals.invalidations, 0u)
-      << "no superblock was ever dropped across all trials";
 }
 
 TEST(CpuDifferential, SelfModifyingCodePatchesTakeEffectBothPaths) {
@@ -553,11 +529,6 @@ TEST(CpuDifferential, BreakpointPatchViaWriteVirtInvalidates) {
   ASSERT_EQ(cached.cpu.cycles(), uncached.cpu.cycles());
   ASSERT_EQ(cached.cpu.state().regs, uncached.cpu.state().regs);
   ASSERT_GT(cached.cpu.stats().block_hits, 0u);
-  // The loop is long past the promotion threshold: the superblock tier must
-  // be live (and self-chaining) before the patch lands.
-  ASSERT_GT(cached.cpu.sbc_stats().translations, 0u);
-  ASSERT_GT(cached.cpu.sbc_stats().chains, 0u);
-  const u64 sb_invals_before = cached.cpu.sbc_stats().invalidations;
 
   // Patch the loop body's opcode to BRK on both rigs.
   const u8 brk_op = static_cast<u8>(Opcode::kBrk);
@@ -579,12 +550,6 @@ TEST(CpuDifferential, BreakpointPatchViaWriteVirtInvalidates) {
   EXPECT_EQ(cached.cpu.cycles(), uncached.cpu.cycles());
   EXPECT_EQ(cached.cpu.state().regs, uncached.cpu.state().regs);
   EXPECT_GE(cached.cpu.stats().block_invalidations, 1u);
-  // The breakpoint patch must also have severed the stale superblock (and
-  // its self-chain) rather than let the chained loop keep running the old
-  // translation: write_virt only bumps the page version, and the next
-  // lookup drops the stale slot.
-  EXPECT_GT(cached.cpu.sbc_stats().invalidations, sb_invals_before);
-  EXPECT_GT(cached.cpu.sbc_stats().unchains, 0u);
 
   // The explicit full invalidation (snapshot restore's) drops blocks too.
   const u64 before = cached.cpu.stats().block_invalidations;
@@ -592,12 +557,12 @@ TEST(CpuDifferential, BreakpointPatchViaWriteVirtInvalidates) {
   EXPECT_GT(cached.cpu.stats().block_invalidations, before);
 }
 
-TEST(CpuDifferential, SuperblockSmcGuestStoreSeversChainAndRetranslates) {
-  // A hot self-chained loop whose body is patched by a guest store after it
-  // has been promoted: the placeholder NOP becomes `movi r2, 7` for the
-  // second hundred iterations. The superblock tier must detect the page
-  // version bump, sever the loop's self-chain, retranslate, and end
-  // bit-identical to the slow interpreter.
+TEST(CpuDifferential, HotLoopSmcGuestStoreRebuildsBlock) {
+  // A hot loop, chained to itself through its pure-branch tail, whose body
+  // is patched by a guest store after a hundred cached iterations: the
+  // placeholder NOP becomes `movi r2, 7` for the second hundred. The block
+  // cache must detect the page version bump, rebuild the loop block, and
+  // end bit-identical to the slow interpreter.
   Instr patch;
   patch.op = Opcode::kMovI;
   patch.rd = 2;
@@ -636,36 +601,35 @@ TEST(CpuDifferential, SuperblockSmcGuestStoreSeversChainAndRetranslates) {
     });
   };
 
-  CpuHarness super, interp;
-  build(super);
+  CpuHarness cached, interp;
+  build(cached);
   build(interp);
   interp.cpu.set_block_cache_enabled(false);
-  ASSERT_EQ(super.cpu.run(20000), cpu::RunExit::kHalted);
+  ASSERT_EQ(cached.cpu.run(20000), cpu::RunExit::kHalted);
   ASSERT_EQ(interp.cpu.run(20000), cpu::RunExit::kHalted);
 
-  EXPECT_EQ(7u, super.cpu.state().regs[2]) << "patched instr did not run";
-  EXPECT_EQ(super.cpu.state().regs, interp.cpu.state().regs);
-  EXPECT_EQ(super.cpu.state().pc, interp.cpu.state().pc);
-  EXPECT_EQ(super.cpu.state().psw, interp.cpu.state().psw);
-  EXPECT_EQ(super.cpu.cycles(), interp.cpu.cycles());
-  EXPECT_EQ(super.cpu.stats().instructions, interp.cpu.stats().instructions);
-  EXPECT_EQ(super.cpu.stats().mem_accesses, interp.cpu.stats().mem_accesses);
-  EXPECT_EQ(super.cpu.mmu().tlb_hits(), interp.cpu.mmu().tlb_hits());
+  EXPECT_EQ(7u, cached.cpu.state().regs[2]) << "patched instr did not run";
+  EXPECT_EQ(cached.cpu.state().regs, interp.cpu.state().regs);
+  EXPECT_EQ(cached.cpu.state().pc, interp.cpu.state().pc);
+  EXPECT_EQ(cached.cpu.state().psw, interp.cpu.state().psw);
+  EXPECT_EQ(cached.cpu.cycles(), interp.cpu.cycles());
+  EXPECT_EQ(cached.cpu.stats().instructions, interp.cpu.stats().instructions);
+  EXPECT_EQ(cached.cpu.stats().mem_accesses, interp.cpu.stats().mem_accesses);
+  EXPECT_EQ(cached.cpu.mmu().tlb_hits(), interp.cpu.mmu().tlb_hits());
 
-  const auto& sbc = super.cpu.sbc_stats();
-  EXPECT_GE(sbc.translations, 2u) << "stale loop was not retranslated";
-  EXPECT_GT(sbc.chains, 0u) << "hot loop never chained to itself";
-  EXPECT_GE(sbc.invalidations, 1u) << "stale superblock was not dropped";
-  EXPECT_GE(sbc.unchains, 1u) << "the self-chain edge was never severed";
+  // Both passes run the loop from the cache; the store in between must
+  // drop the stale loop block rather than let the chain keep running it.
+  EXPECT_GE(cached.cpu.stats().block_hits, 190u) << "hot loop ran uncached";
+  EXPECT_GE(cached.cpu.stats().block_invalidations, 1u)
+      << "stale loop block was not dropped";
 }
 
-TEST(CpuDifferential, PageBoundaryBlockChainsAcrossTheGuard) {
+TEST(CpuDifferential, PageBoundaryBlockMatchesReference) {
   // A loop whose body straddles a page boundary: the decoder cuts the first
-  // block at the 4 KiB edge (a non-terminator tail, SbTail::kFallthrough)
-  // and a second block continues on the next page. Both must be promoted
-  // and chained — fall-through edge across the boundary, taken edge back —
-  // so the loop runs chain-to-chain, and the whole thing must stay
-  // bit-identical to the slow interpreter.
+  // block at the 4 KiB edge (a non-terminator tail) and a second block
+  // continues on the next page, each guarded by its own page's version.
+  // The loop must run from the cache, block to block across the edge, and
+  // stay bit-identical to the slow interpreter.
   auto build = [](CpuHarness& h) {
     h.load([](Assembler& a) {
       a.movi(cpu::kR0, u32{0});
@@ -681,38 +645,34 @@ TEST(CpuDifferential, PageBoundaryBlockChainsAcrossTheGuard) {
     });
   };
 
-  CpuHarness super, interp;
-  build(super);
+  CpuHarness cached, interp;
+  build(cached);
   build(interp);
   interp.cpu.set_block_cache_enabled(false);
-  ASSERT_EQ(super.cpu.run(100000), cpu::RunExit::kHalted);
+  ASSERT_EQ(cached.cpu.run(100000), cpu::RunExit::kHalted);
   ASSERT_EQ(interp.cpu.run(100000), cpu::RunExit::kHalted);
 
-  EXPECT_EQ(3000u, super.cpu.state().regs[0]);
-  EXPECT_EQ(super.cpu.state().regs, interp.cpu.state().regs);
-  EXPECT_EQ(super.cpu.cycles(), interp.cpu.cycles());
-  EXPECT_EQ(super.cpu.stats().instructions, interp.cpu.stats().instructions);
-  EXPECT_EQ(super.cpu.mmu().tlb_hits(), interp.cpu.mmu().tlb_hits());
+  EXPECT_EQ(3000u, cached.cpu.state().regs[0]);
+  EXPECT_EQ(cached.cpu.state().regs, interp.cpu.state().regs);
+  EXPECT_EQ(cached.cpu.cycles(), interp.cpu.cycles());
+  EXPECT_EQ(cached.cpu.stats().instructions, interp.cpu.stats().instructions);
+  EXPECT_EQ(cached.cpu.mmu().tlb_hits(), interp.cpu.mmu().tlb_hits());
 
-  const auto& sbc = super.cpu.sbc_stats();
-  EXPECT_GE(sbc.translations, 2u) << "both halves must be promoted";
-  // Once both halves are promoted, every iteration follows two chain edges
-  // (across the boundary and back); dispatcher entries should be rare.
-  EXPECT_GT(sbc.chains, sbc.hits)
-      << "the boundary-cut block did not chain (falls_through not honoured?)";
+  // Every iteration after the first dispatches both halves from the cache.
+  EXPECT_GE(cached.cpu.stats().block_hits, 2u * 2999)
+      << "the boundary-cut halves were not reused from the cache";
+  EXPECT_LE(cached.cpu.stats().block_builds, 4u);
 }
 
-TEST(CpuDifferential, GenericTailSelfCallNeverSkipsTheChainGuard) {
-  // Adversarial case for the fast-mode self-chain shortcut: a single-`call`
-  // block whose taken edge points at itself. The block is "pure" (it has no
-  // non-tail instructions at all) but its tail is generic and WRITES MEMORY
-  // — each iteration pushes the return address and sp walks down, through a
-  // neutral page and eventually into the code page itself, finally
-  // overwriting the call's own immediate. The executor must not apply the
-  // pure-body self-chain shortcut here (generic tails clear `fast`): every
-  // re-entry must pass the full version guard, or the tier keeps executing
-  // the stale translation after the pushes start landing on the code page
-  // and diverges from the interpreter.
+TEST(CpuDifferential, SelfCallPushingIntoItsCodePageMatchesReference) {
+  // A single-`call` block that calls itself. Its tail is a pure branch, so
+  // the dispatcher chains it to itself without returning to run(), but the
+  // call WRITES MEMORY — each iteration pushes the return address and sp
+  // walks down, through a neutral page and eventually into the code page
+  // itself, finally overwriting the call's own immediate. Every chained
+  // re-entry must re-check the page version, or the cache keeps executing
+  // the stale block after the pushes start landing on the code page and
+  // diverges from the interpreter.
   auto build = [](CpuHarness& h) {
     h.load([](Assembler& a) {
       a.movi(cpu::kSp, u32{0x3000});
@@ -721,34 +681,31 @@ TEST(CpuDifferential, GenericTailSelfCallNeverSkipsTheChainGuard) {
     });
   };
 
-  CpuHarness super, interp;
-  build(super);
+  CpuHarness cached, interp;
+  build(cached);
   build(interp);
   interp.cpu.set_block_cache_enabled(false);
 
-  // One uninterrupted run: the whole descent — promote, self-chain, pushes
-  // crossing into the code page, the immediate overwritten — happens without
-  // a single return to the dispatcher, so only the executor's own chain
-  // guard stands between a stale translation and divergence. (A sliced run
-  // would mask the bug: every slice boundary re-enters through the
-  // dispatcher, whose lookup drops stale translations eagerly.)
-  const auto ra = super.cpu.run(60000);
+  // One uninterrupted run: the whole descent — self-chain, pushes crossing
+  // into the code page, the immediate overwritten — happens without a
+  // single return to run(), so only the dispatcher's per-entry version
+  // check stands between a stale block and divergence.
+  const auto ra = cached.cpu.run(60000);
   const auto rb = interp.cpu.run(60000);
   EXPECT_EQ(ra, rb);
-  EXPECT_EQ(super.cpu.state().pc, interp.cpu.state().pc);
-  EXPECT_EQ(super.cpu.state().regs, interp.cpu.state().regs);
-  EXPECT_EQ(super.cpu.cycles(), interp.cpu.cycles());
-  EXPECT_EQ(super.cpu.stats().instructions, interp.cpu.stats().instructions);
-  EXPECT_EQ(super.cpu.stats().mem_accesses, interp.cpu.stats().mem_accesses);
-  EXPECT_EQ(super.cpu.mmu().tlb_hits(), interp.cpu.mmu().tlb_hits());
-  EXPECT_EQ(super.cpu.shutdown(), interp.cpu.shutdown());
-  EXPECT_EQ(dump_mem(super.mem), dump_mem(interp.mem));
+  EXPECT_EQ(cached.cpu.state().pc, interp.cpu.state().pc);
+  EXPECT_EQ(cached.cpu.state().regs, interp.cpu.state().regs);
+  EXPECT_EQ(cached.cpu.cycles(), interp.cpu.cycles());
+  EXPECT_EQ(cached.cpu.stats().instructions, interp.cpu.stats().instructions);
+  EXPECT_EQ(cached.cpu.stats().mem_accesses, interp.cpu.stats().mem_accesses);
+  EXPECT_EQ(cached.cpu.mmu().tlb_hits(), interp.cpu.mmu().tlb_hits());
+  EXPECT_EQ(cached.cpu.shutdown(), interp.cpu.shutdown());
+  EXPECT_EQ(dump_mem(cached.mem), dump_mem(interp.mem));
 
-  EXPECT_GT(super.cpu.sbc_stats().chains, 0u)
-      << "the call-to-self edge was never followed; the guarded path was "
-         "not exercised";
-  EXPECT_GT(super.cpu.sbc_stats().invalidations, 0u)
-      << "pushes reaching the code page never dropped the translation";
+  EXPECT_GT(cached.cpu.stats().block_hits, 0u)
+      << "the self-call never ran from the cache";
+  EXPECT_GT(cached.cpu.stats().block_invalidations, 0u)
+      << "pushes reaching the code page never dropped the cached block";
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include "asm/assembler.h"
 #include "common/units.h"
 #include "cpu/isa.h"
-#include "cpu/superblock.h"
 #include "debug/remote_debugger.h"
 #include "fleet/machine_unit.h"
 #include "guest/layout.h"
@@ -115,6 +114,31 @@ TEST(DebugSession, SingleStepAdvancesOneInstruction) {
   const auto after = rig.dbg->read_registers();
   ASSERT_TRUE(after.has_value());
   EXPECT_NE(after->pc, before->pc);
+}
+
+// Every stepi retires exactly one guest instruction, whether the
+// instruction runs natively or the monitor emulates it. The timer ISR's
+// `out` (EOI) and `iret` are emulated, so a few hundred steps from a
+// break-in cross them many times over.
+TEST(DebugSession, StepiRetiresExactlyOneInstructionOverEmulatedOps) {
+  DebugRig rig(RunConfig::for_rate_mbps(40.0));
+  ASSERT_TRUE(rig.dbg->connect());
+  rig.platform->machine().run_for(seconds_to_cycles(0.03));
+  ASSERT_EQ(rig.dbg->interrupt(), StopKind::kBreak);
+
+  const u64 emulated0 = rig.platform->monitor()->exit_stats().io_emulated +
+                        rig.platform->monitor()->exit_stats().privileged_instr;
+  for (int i = 0; i < 600; ++i) {
+    const auto before = rig.dbg->icount();
+    ASSERT_TRUE(before.has_value());
+    ASSERT_EQ(rig.dbg->step(), StopKind::kBreak) << "step " << i;
+    const auto after = rig.dbg->icount();
+    ASSERT_TRUE(after.has_value());
+    ASSERT_EQ(*after, *before + 1) << "step " << i;
+  }
+  const u64 emulated = rig.platform->monitor()->exit_stats().io_emulated +
+                       rig.platform->monitor()->exit_stats().privileged_instr;
+  EXPECT_GE(emulated - emulated0, 20u) << "the steps crossed no emulated op";
 }
 
 TEST(DebugSession, MemoryReadWriteRoundTripAndDisassembly) {
@@ -275,7 +299,7 @@ TEST(DebugSession, StreamSurvivesRepeatedBreakInsWithIntegrity) {
 
 // An RSP `M` rewrite of kernel text the guest runs every tick must take
 // effect at once, in every tier. Nothing tells the CPU about the write: the
-// page-version bump alone must retire the hot, chained decoded copy of the
+// page-version bump alone must retire the hot, cached decoded copy of the
 // timer ISR's tick increment.
 struct TickPatch {
   std::vector<u8> state;  // machine+monitor snapshot at the final stop
@@ -283,20 +307,19 @@ struct TickPatch {
   u32 ticks_after = 0;
 };
 
-TickPatch patch_tick_increment(bool block_cache, bool superblocks) {
+TickPatch patch_tick_increment(bool block_cache) {
   TickPatch out;
   DebugRig rig(RunConfig::for_rate_mbps(40.0));
   auto& m = rig.platform->machine();
   m.cpu().set_block_cache_enabled(block_cache);
-  m.cpu().set_superblocks_enabled(superblocks);
   EXPECT_TRUE(rig.dbg->connect());
   m.run_for(seconds_to_cycles(0.05));
   EXPECT_EQ(rig.dbg->interrupt(), StopKind::kBreak);
   out.ticks_before = rig.platform->mailbox().ticks;
-  // Past the promotion threshold the increment runs from a superblock.
-  EXPECT_GT(out.ticks_before, cpu::SuperblockCache::kHotThreshold);
-  if (superblocks) {
-    EXPECT_GT(m.cpu().sbc_stats().chains, 0u);
+  // The ISR has run often enough for its blocks to be cached and reused.
+  EXPECT_GT(out.ticks_before, 1u);
+  if (block_cache) {
+    EXPECT_GT(m.cpu().stats().block_hits, 0u);
   }
 
   // isr_timer_count: ld32 r0, ticks; addi r0, r0, 1; st32 ticks, r0.
@@ -323,21 +346,19 @@ TickPatch patch_tick_increment(bool block_cache, bool superblocks) {
 }
 
 TEST(DebugSession, RspRewriteOfHotKernelTextTakesEffectInEveryTier) {
-  const TickPatch super = patch_tick_increment(true, true);
-  const TickPatch block = patch_tick_increment(true, false);
-  const TickPatch interp = patch_tick_increment(false, false);
+  const TickPatch block = patch_tick_increment(true);
+  const TickPatch interp = patch_tick_increment(false);
 
   // Every tick after the resume adds 0x10000; a break-in that froze the
   // ISR between its add and its store contributes one stale +1.
-  const u32 delta = super.ticks_after - super.ticks_before;
+  const u32 delta = block.ticks_after - block.ticks_before;
   EXPECT_GE(delta >> 16, 10u) << "the patched increment never ran";
   EXPECT_LE(delta & 0xffff, 1u) << "the stale increment kept running";
 
-  ASSERT_FALSE(super.state.empty());
-  EXPECT_EQ(super.ticks_after, block.ticks_after);
-  EXPECT_EQ(super.ticks_after, interp.ticks_after);
-  EXPECT_EQ(super.state, block.state) << "tiers 2 and 1 diverged";
-  EXPECT_EQ(super.state, interp.state) << "tier 2 and the interpreter diverged";
+  ASSERT_FALSE(block.state.empty());
+  EXPECT_EQ(block.ticks_after, interp.ticks_after);
+  EXPECT_EQ(block.state, interp.state)
+      << "the block cache and the interpreter diverged";
 }
 
 }  // namespace

@@ -73,9 +73,9 @@ TEST(FlightLoopWindow, ReplayReproducesRecordedTraceBitForBit) {
 // bit-identical state, so the replayed trace tail cannot depend on which
 // one ran.
 TEST(FlightLoopWindow, ReplayVerifiesUnderEveryTier) {
-  for (const bool superblocks : {false, true}) {
+  for (const bool block_cache : {false, true}) {
     auto p = make_lvmm();
-    p->machine().cpu().set_superblocks_enabled(superblocks);
+    p->machine().cpu().set_block_cache_enabled(block_cache);
     ExitTracer tracer(4096);
     tracer.set_enabled(true);
     p->monitor()->set_tracer(&tracer);
@@ -88,7 +88,7 @@ TEST(FlightLoopWindow, ReplayVerifiesUnderEveryTier) {
     ASSERT_EQ(p->machine().run_for(seconds_to_cycles(0.02)), MStop::kBudget);
     std::string why;
     EXPECT_TRUE(fl.verify_window(&why))
-        << "superblocks=" << superblocks << ": " << why;
+        << "block_cache=" << block_cache << ": " << why;
   }
 }
 

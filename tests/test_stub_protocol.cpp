@@ -149,13 +149,13 @@ TEST(StubProtocol, TierQueryTracksKillSwitches) {
   WireRig rig;
   auto& cpu = rig.platform->machine().cpu();
   rig.send_packet("qVdbg.Tier");
-  EXPECT_EQ(rig.last_reply(), "superblock");  // the default configuration
-  cpu.set_superblocks_enabled(false);
-  rig.send_packet("qVdbg.Tier");
-  EXPECT_EQ(rig.last_reply(), "block-cache");
+  EXPECT_EQ(rig.last_reply(), "block-cache");  // the default configuration
   cpu.set_block_cache_enabled(false);
   rig.send_packet("qVdbg.Tier");
   EXPECT_EQ(rig.last_reply(), "interp");
+  cpu.set_block_cache_enabled(true);
+  rig.send_packet("qVdbg.Tier");
+  EXPECT_EQ(rig.last_reply(), "block-cache");
 }
 
 TEST(StubProtocol, ExitStatsQueryFormatsPerKindTriples) {

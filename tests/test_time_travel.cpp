@@ -127,6 +127,72 @@ TEST(TimeTravelSnapshot, RejectsCorruptTruncatedAndEmptyStreams) {
   EXPECT_EQ(tt.save_state(), good);
 }
 
+/// Payload offset and length of section `tag` in a snapshot stream (the
+/// framing of common/snapshot.h), or {0, 0} when absent.
+std::pair<std::size_t, std::size_t> find_section(const std::vector<u8>& s,
+                                                 SnapTag tag) {
+  auto le = [&](std::size_t at, unsigned bytes) {
+    u64 v = 0;
+    for (unsigned i = 0; i < bytes; ++i) v |= u64{s[at + i]} << (8 * i);
+    return v;
+  };
+  std::size_t pos = 12;  // magic + version
+  while (pos + 12 <= s.size()) {
+    const u64 len = le(pos + 4, 8);
+    if (le(pos, 4) == u64(tag)) return {pos + 12, std::size_t(len)};
+    pos += 12 + std::size_t(len);
+  }
+  return {0, 0};
+}
+
+/// Rewrites the CRC32 trailer (tag u32, length u64, crc u64) after a
+/// deliberate payload edit, so only the restore-time checks can object.
+void reseal(std::vector<u8>& s) {
+  const std::size_t body = s.size() - 20;
+  const u32 crc = vdbg::crc32(s.data(), body);
+  for (unsigned i = 0; i < 8; ++i) {
+    s[body + 12 + i] = i < 4 ? u8(crc >> (8 * i)) : 0;
+  }
+}
+
+// A stream can be well framed and CRC-clean yet semantically corrupt. The
+// vTLB hit path trusts a restored frame number, so restore must reject an
+// entry that maps a frame beyond guest memory instead of letting the next
+// monitor access read past physical memory.
+TEST(TimeTravelSnapshot, RejectsVtlbEntryBeyondGuestMemory) {
+  auto p = make_lvmm();
+  ASSERT_EQ(p->machine().run_for(seconds_to_cycles(0.02)), MStop::kBudget);
+
+  TimeTravel tt(*p->monitor());
+  const auto good = tt.save_state();
+  auto resealed = good;
+  reseal(resealed);
+  ASSERT_EQ(resealed, good) << "reseal must reproduce the writer's trailer";
+
+  const auto [off, len] = find_section(good, SnapTag::kGuestMem);
+  ASSERT_GT(len, 0u);
+  // Entries lead the section, 18 bytes each: valid, writable, vpn, pfn,
+  // pde_addr, pte_addr.
+  constexpr std::size_t kEntryBytes = 18;
+  std::size_t entry = 0;
+  while (entry + kEntryBytes <= len && good[off + entry] == 0) {
+    entry += kEntryBytes;
+  }
+  ASSERT_LE(entry + kEntryBytes, len) << "no valid vTLB entry to corrupt";
+
+  auto bad = good;
+  const u32 pfn = 0x000fffff;  // the last 4 KiB frame of a 4 GiB space
+  for (unsigned i = 0; i < 4; ++i) {
+    bad[off + entry + 6 + i] = u8(pfn >> (8 * i));
+  }
+  reseal(bad);
+  EXPECT_FALSE(tt.load_state(bad));
+
+  // The machine is still restorable and runs on from the good stream.
+  ASSERT_TRUE(tt.load_state(good));
+  EXPECT_EQ(p->machine().run_for(seconds_to_cycles(0.001)), MStop::kBudget);
+}
+
 // ------------------------------------------ the replay correctness oracle --
 
 // Restore-then-replay must be bit-identical to uninterrupted execution, at
@@ -163,53 +229,55 @@ TEST(TimeTravelReplay, LockstepDifferentialMatchesStraightLine) {
   EXPECT_GE(tt.stats().restores, 1u);
 }
 
-// The superblock cache is derived state: restoring a snapshot must drop it
-// (its chain edges may reference pre-rollback code), replay must rebuild it
-// on demand, and replaying the same window with the tier disabled must
-// produce a byte-identical snapshot. The kill switch itself is a host
-// tuning knob and must be invisible to the snapshot stream.
-TEST(TimeTravelReplay, SuperblockCacheIsDerivedStateAcrossRestore) {
+// The block cache is derived state: restoring a snapshot must drop it (its
+// blocks may hold pre-rollback code), replay must rebuild it on demand, and
+// replaying the same window with the cache disabled must produce a
+// byte-identical snapshot. The kill switch itself is a host tuning knob and
+// must be invisible to the snapshot stream.
+TEST(TimeTravelReplay, BlockCacheIsDerivedStateAcrossRestore) {
   auto p = make_lvmm();
   auto& m = p->machine();
   TimeTravel tt(*p->monitor());
 
   ASSERT_EQ(m.run_for(seconds_to_cycles(0.02)), MStop::kBudget);
-  const auto& sbc = m.cpu().sbc_stats();
-  ASSERT_GT(sbc.hits + sbc.chains, 0u)
-      << "the boot workload never exercised the superblock tier";
+  const auto& st = m.cpu().stats();
+  ASSERT_GT(st.block_hits, 0u)
+      << "the boot workload never exercised the block cache";
 
   const auto snap = tt.save_state();
   ASSERT_FALSE(snap.empty());
 
   // Kill-switch flips must not change the snapshot stream.
-  m.cpu().set_superblocks_enabled(false);
+  m.cpu().set_block_cache_enabled(false);
   EXPECT_EQ(tt.save_state(), snap);
-  m.cpu().set_superblocks_enabled(true);
+  m.cpu().set_block_cache_enabled(true);
 
-  // Restore drops every live superblock (counted as invalidations).
-  const u64 inv_before = sbc.invalidations;
+  // Restore drops every live block (counted as invalidations).
+  const u64 inv_before = st.block_invalidations;
   ASSERT_TRUE(tt.load_state(snap));
-  EXPECT_GT(sbc.invalidations, inv_before)
-      << "restore did not drop the superblock cache";
+  EXPECT_GT(st.block_invalidations, inv_before)
+      << "restore did not drop the block cache";
 
-  // Replay a fixed instruction window with superblocks on...
-  const u64 entries_at_restore = sbc.hits + sbc.chains;
-  const u64 target = m.cpu().stats().instructions + 50'000;
+  // Replay a fixed instruction window with the cache on...
+  const u64 builds_at_restore = st.block_builds;
+  const u64 hits_at_restore = st.block_hits;
+  const u64 target = st.instructions + 50'000;
   ASSERT_EQ(m.run_to_instruction(target, seconds_to_cycles(1.0)),
             MStop::kInstrLimit);
-  EXPECT_GT(sbc.hits + sbc.chains, entries_at_restore)
+  EXPECT_GT(st.block_builds, builds_at_restore)
       << "the cache was not rebuilt on demand after restore";
+  EXPECT_GT(st.block_hits, hits_at_restore);
   const auto on_snap = tt.save_state();
 
-  // ...then the identical window from the identical start with the tier
+  // ...then the identical window from the identical start with the cache
   // off: the machine must land on a byte-identical snapshot.
   ASSERT_TRUE(tt.load_state(snap));
-  m.cpu().set_superblocks_enabled(false);
+  m.cpu().set_block_cache_enabled(false);
   ASSERT_EQ(m.run_to_instruction(target, seconds_to_cycles(1.0)),
             MStop::kInstrLimit);
   EXPECT_EQ(tt.save_state(), on_snap)
-      << "superblock replay diverged from the block-cache tier";
-  m.cpu().set_superblocks_enabled(true);
+      << "block-cache replay diverged from the interpreter";
+  m.cpu().set_block_cache_enabled(true);
 }
 
 // reverse-stepi is restore + replay, so its landing must not depend on
@@ -226,24 +294,24 @@ TEST(TimeTravelReplay, ReverseStepiLandsIdenticallyAcrossTiers) {
   const u64 n = m.cpu().stats().instructions;
   ASSERT_GT(tt.checkpoint_count(), 0u);
 
-  // Reverse-step with the superblock tier live (the default)...
+  // Reverse-step with the block cache live (the default)...
   p->monitor()->freeze_guest(vmm::DebugDelegate::StopReason::kStep);
   ASSERT_EQ(tt.reverse_stepi().outcome, Outcome::kStopped);
   ASSERT_EQ(m.cpu().stats().instructions, n - 1);
-  const auto landing_super = tt.save_state();
+  const auto landing_cached = tt.save_state();
 
   // ...return to the boundary, then reverse again with replay pinned to
-  // the block-cache tier: the landing must be byte-identical.
+  // the slow interpreter: the landing must be byte-identical.
   p->monitor()->resume_guest();
   ASSERT_EQ(m.run_to_instruction(n, seconds_to_cycles(1.0)),
             MStop::kInstrLimit);
-  m.cpu().set_superblocks_enabled(false);
+  m.cpu().set_block_cache_enabled(false);
   p->monitor()->freeze_guest(vmm::DebugDelegate::StopReason::kStep);
   ASSERT_EQ(tt.reverse_stepi().outcome, Outcome::kStopped);
   EXPECT_EQ(m.cpu().stats().instructions, n - 1);
-  EXPECT_EQ(tt.save_state(), landing_super)
+  EXPECT_EQ(tt.save_state(), landing_cached)
       << "reverse-stepi landed on different state across tiers";
-  m.cpu().set_superblocks_enabled(true);
+  m.cpu().set_block_cache_enabled(true);
   p->monitor()->resume_guest();
 }
 

@@ -1,12 +1,16 @@
 // Monitor unit tests against small hand-built guests: privileged-instruction
 // emulation, virtual IF/CPL/CR state, vPIC EOI <-> physical unmask coupling,
 // injection semantics (DPL, stack switch, virtual PSW), guest IRET,
-// double/triple fault containment and the guest-memory accessors.
+// double/triple fault containment, the guest-memory accessors and single
+// steps over emulated instructions.
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "asm/assembler.h"
 #include "common/units.h"
 #include "guest/layout.h"
+#include "cpu/mmu.h"
 #include "hw/machine.h"
 #include "vmm/lvmm.h"
 
@@ -294,6 +298,124 @@ TEST(LvmmUnit, ReflectedGpFromUserPrivilegedInstruction) {
   const u32 vpsw = rig.machine.mem().read32(0x60c);
   EXPECT_EQ(vpsw & cpu::Psw::kCplMask, 3u);
   EXPECT_GE(rig.mon->exit_stats().reflected_faults, 1u);
+}
+
+/// Single-step debugger in miniature: wants the next #DB while a step is
+/// armed and ends the machine's run at every stop.
+class StepDelegate final : public vmm::DebugDelegate {
+ public:
+  explicit StepDelegate(hw::Machine& m) : machine_(m) {}
+  bool owns_breakpoint(VAddr) override { return false; }
+  bool wants_step() override { return stepping; }
+  void on_guest_stop(StopReason reason) override {
+    stepping = false;
+    last = reason;
+    machine_.external_stop();
+  }
+  void on_uart_activity() override {}
+
+  bool stepping = false;
+  StopReason last = StopReason::kBreakpoint;
+
+ private:
+  hw::Machine& machine_;
+};
+
+// Every instruction the monitor emulates is a whole step: a forward stepi
+// over it must land on the next instruction with exactly one instruction
+// retired, as over a native one. Covers a trapped port write, each
+// privileged op (IRET lands on its return target, HLT halts behind the
+// stop) and an emulated store into a guest page table.
+TEST(LvmmUnit, StepOverEmulatedInstructionRetiresExactlyOne) {
+  constexpr u32 kPd = 0x30000;
+  constexpr u32 kPt = 0x31000;
+  VmmRig rig;
+  rig.load([](Assembler& a) {
+    a.movi(kSp, u32{0x20000});
+    a.movi(kR0, l("idt"));
+    a.lidt(kR0, 64);
+    a.cli();
+    a.sti();
+    a.movi(kR1, u32{0x55});
+    a.out(0x7777, kR1);
+    a.movi(kR1, u32{0x12345000});
+    a.mov_to_cr(cpu::kCrKernelSp, kR1);
+    a.mov_from_cr(kR2, cpu::kCrKernelSp);
+    // IRET to "after_iret" at the same virtual privilege.
+    a.movi(kR0, u32{0x20000});
+    a.push(kR0);
+    a.movi(kR0, u32{1 | cpu::Psw::kIf});
+    a.push(kR0);
+    a.movi(kR0, l("after_iret"));
+    a.push(kR0);
+    a.movi(kR0, u32{0});
+    a.push(kR0);
+    a.iret();
+    a.label("after_iret");
+    // Paging on, over the identity page table the test fills in below.
+    a.movi(kR0, u32{kPd});
+    a.mov_to_cr(cpu::kCr3, kR0);
+    a.movi(kR0, u32{cpu::kCr0PgBit});
+    a.mov_to_cr(cpu::kCr0, kR0);
+    a.movi(cpu::kR5, u32{kPt});
+    a.invlpg(cpu::kR5);
+    a.ld32(cpu::kR6, cpu::kR5, 0x80);  // shadow-maps the PT frame read-only
+    a.label("pt_store");
+    a.st32(cpu::kR5, 0x80, cpu::kR6);  // emulated guest page-table write
+    a.label("halt");
+    a.hlt();
+    a.nop();
+    VmmRig::emit_idt(a);
+  });
+  auto& mem = rig.machine.mem();
+  mem.write32(kPd, cpu::Pte::make(kPt, true, true));
+  for (u32 i = 0; i < 1024; ++i) {
+    mem.write32(kPt + 4 * i, cpu::Pte::make(i << cpu::kPageBits, true, true));
+  }
+  const u32 after_iret = *rig.prog.symbol("after_iret");
+  const u32 pt_store = *rig.prog.symbol("pt_store");
+  const u32 halt = *rig.prog.symbol("halt");
+
+  StepDelegate dbg(rig.machine);
+  rig.mon->set_debug_delegate(&dbg);
+  auto& cpu = rig.machine.cpu();
+  const std::set<cpu::Opcode> privileged = {
+      cpu::Opcode::kLidt,     cpu::Opcode::kCli,       cpu::Opcode::kSti,
+      cpu::Opcode::kOut,      cpu::Opcode::kMovToCr,   cpu::Opcode::kMovFromCr,
+      cpu::Opcode::kIret,     cpu::Opcode::kInvlpg,    cpu::Opcode::kHlt};
+  std::set<cpu::Opcode> covered;
+  bool pt_store_covered = false;
+  for (int n = 0; n < 100; ++n) {
+    const u32 pc0 = cpu.state().pc;
+    const u64 icount0 = cpu.stats().instructions;
+    u8 bytes[cpu::kInstrBytes];
+    mem.read_block(pc0, bytes);  // guest paging is identity throughout
+    const cpu::Instr in = cpu::Instr::decode(bytes);
+
+    dbg.stepping = true;
+    rig.mon->arm_single_step();
+    rig.mon->resume_guest();
+    ASSERT_EQ(rig.machine.run_for(1'000'000),
+              hw::Machine::StopReason::kExternalStop)
+        << "step at 0x" << std::hex << pc0 << " never stopped";
+    ASSERT_EQ(dbg.last, vmm::DebugDelegate::StopReason::kStep);
+
+    if (privileged.count(in.op) != 0 || pc0 == pt_store) {
+      EXPECT_EQ(cpu.stats().instructions, icount0 + 1)
+          << "opcode " << int(in.op) << " at 0x" << std::hex << pc0;
+      EXPECT_EQ(cpu.state().pc,
+                in.op == cpu::Opcode::kIret ? after_iret
+                                            : pc0 + cpu::kInstrBytes)
+          << "opcode " << int(in.op) << " at 0x" << std::hex << pc0;
+      covered.insert(in.op);
+      pt_store_covered = pt_store_covered || pc0 == pt_store;
+    }
+    if (pc0 == halt) break;
+  }
+  EXPECT_EQ(covered.size(), privileged.size() + 1);  // + the PT store
+  EXPECT_TRUE(pt_store_covered);
+  EXPECT_GE(rig.mon->exit_stats().pt_writes, 1u);
+  EXPECT_TRUE(rig.mon->vcpu().halted);
 }
 
 TEST(LvmmUnit, PhysicalRingMatchesVirtualPrivilege) {

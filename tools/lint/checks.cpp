@@ -500,7 +500,6 @@ void check_metric_names(const Repo& repo, std::vector<Diag>& out) {
       // cpu: execution tiers, TLB, PC profiler, COW physical memory.
       {"cpu.core", "cpu"},
       {"cpu.block", "cpu"},
-      {"cpu.sbc", "cpu"},
       {"cpu.tlb", "cpu"},
       {"cpu.profile", "cpu"},
       {"mem.cow", "cpu"},
